@@ -136,11 +136,11 @@ const (
 )
 
 // scaleNetwork builds the n-station grid scenario on the given
-// scheduler backend with staggered per-client UDP downloads. A non-nil
-// geometry runs the grid on the spatial PHY (2 m spacing keeps every
-// station inside carrier-sense range, so the collision-domain shape
-// matches the scalar channel while the power-matrix and per-receiver
-// sensing code carry the load).
+// scheduler backend with staggered per-client UDP downloads. A nil
+// geometry is the default single collision domain; a path-loss
+// geometry keeps every station inside carrier-sense range at 2 m
+// spacing, so the collision-domain shape is the same while the power
+// matrix and per-receiver sensing carry the load.
 func scaleNetwork(stations int, backend sim.Backend, geom *channel.Geometry) *node.Network {
 	cfg := scenario.New(scenario.With80211n(), scenario.WithGrid(stations, 2))
 	cfg.SchedulerBackend = backend
@@ -186,7 +186,8 @@ func benchScale(b *testing.B, backend sim.Backend, geom *channel.Geometry) {
 }
 
 // BenchmarkScale measures the production (timing-wheel) scheduler's
-// event throughput as the network grows from 10 to 1000 stations.
+// event throughput on the default single collision domain as the
+// network grows from 10 to 1000 stations.
 func BenchmarkScale(b *testing.B) { benchScale(b, sim.BackendWheel, nil) }
 
 // BenchmarkScaleHeap runs the identical workload on the retained
@@ -194,11 +195,11 @@ func BenchmarkScale(b *testing.B) { benchScale(b, sim.BackendWheel, nil) }
 // compared against.
 func BenchmarkScaleHeap(b *testing.B) { benchScale(b, sim.BackendHeap, nil) }
 
-// BenchmarkScaleSpatial runs the identical workload on the spatial PHY
-// (default path-loss geometry, timing-wheel scheduler) — the cost of
-// the power matrix, per-receiver carrier sensing, and SINR capture
-// relative to the scalar channel, gated in CI against the heap
-// baseline's ns/event.
+// BenchmarkScaleSpatial runs the identical workload on the default
+// path-loss geometry (timing-wheel scheduler) — the cost of the power
+// matrix, per-receiver carrier sensing, and SINR capture relative to
+// the single collision domain, gated in CI against the heap backend's
+// ns/event measured in the same rounds.
 func BenchmarkScaleSpatial(b *testing.B) {
 	benchScale(b, sim.BackendWheel, channel.DefaultGeometry())
 }

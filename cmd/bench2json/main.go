@@ -11,16 +11,21 @@
 // any custom b.ReportMetric units (points/s, row0_mbps, ...). Context
 // lines (goos/goarch/pkg/cpu) are captured verbatim.
 //
-// With -compare the command gates instead of converting: it parses the
-// same bench text from stdin, looks one benchmark's metric up in a
-// previously archived report, and exits 1 when the current value
-// regressed beyond the relative tolerance:
+// With -compare the command gates instead of converting. The bench
+// text on stdin holds repeated, interleaved runs of a candidate
+// benchmark and its reference, measured in the same job; the i-th
+// candidate result pairs with the i-th reference result. The command
+// exits 1 when the median candidate/reference ratio of the metric
+// exceeds 1 + the relative tolerance:
 //
-//	go test -run '^$' -bench 'BenchmarkScale$/stations=100' -benchtime 1x . \
-//	    | go run ./cmd/bench2json -compare BENCH_7.json \
-//	        -name 'BenchmarkScale/stations=100' \
-//	        -against 'BenchmarkScaleHeap/stations=100' \
-//	        -metric ns/event -rel 0.03
+//	go test -c -o scale.test .
+//	for i in $(seq 10); do
+//	    ./scale.test -test.run '^$' -test.benchtime 3x \
+//	        -test.bench '^BenchmarkScale(|Heap)$/^stations=100$'
+//	done | go run ./cmd/bench2json -compare \
+//	    -name 'BenchmarkScale/stations=100' \
+//	    -against 'BenchmarkScaleHeap/stations=100' \
+//	    -metric ns/event -rel 0.03
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -47,12 +53,16 @@ type Report struct {
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline report JSON (a previous bench2json output) to gate against instead of converting")
-	name := flag.String("name", "", "with -compare: benchmark name in the stdin bench text (sub-bench path, -N CPU suffix stripped)")
-	against := flag.String("against", "", "with -compare: benchmark name in the baseline report (default: -name)")
+	compare := flag.Bool("compare", false, "gate the median -name/-against metric ratio over paired runs in the stdin bench text instead of converting")
+	name := flag.String("name", "", "with -compare: candidate benchmark name (sub-bench path, -N CPU suffix stripped)")
+	against := flag.String("against", "", "with -compare: reference benchmark name, measured in the same bench text")
 	metric := flag.String("metric", "ns/event", "with -compare: metric unit to compare")
-	rel := flag.Float64("rel", 0.03, "with -compare: allowed relative increase over the baseline value")
+	rel := flag.Float64("rel", 0.03, "with -compare: allowed relative increase of the median ratio over 1")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "bench2json: unexpected arguments %q (bench text is read from stdin)\n", flag.Args())
+		os.Exit(1)
+	}
 
 	rep := Report{Context: map[string]string{}}
 	sc := bufio.NewScanner(os.Stdin)
@@ -84,8 +94,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench2json: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	if *compare != "" {
-		os.Exit(runCompare(rep, *compare, *name, *against, *metric, *rel))
+	if *compare {
+		os.Exit(runCompare(rep, *name, *against, *metric, *rel))
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -95,61 +105,52 @@ func main() {
 	}
 }
 
-// runCompare gates one benchmark metric against an archived report.
-// It returns the process exit code: 0 within tolerance, 1 regressed
-// (or the lookup failed — a silent pass on a renamed benchmark would
-// hollow the gate out).
-func runCompare(rep Report, baselinePath, name, against, metric string, rel float64) int {
-	if name == "" {
-		fmt.Fprintln(os.Stderr, "bench2json: -compare requires -name")
+// runCompare gates the median candidate/reference ratio of one metric
+// over the paired runs in rep. It returns the process exit code: 0
+// within tolerance, 1 regressed (or the lookup failed — a silent pass
+// on a renamed benchmark would hollow the gate out).
+func runCompare(rep Report, name, against, metric string, rel float64) int {
+	if name == "" || against == "" {
+		fmt.Fprintln(os.Stderr, "bench2json: -compare requires -name and -against")
 		return 1
 	}
-	if against == "" {
-		against = name
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench2json:", err)
+	cand, ref := metricRuns(rep, name, metric), metricRuns(rep, against, metric)
+	if len(cand) == 0 || len(cand) != len(ref) {
+		fmt.Fprintf(os.Stderr, "bench2json: %d %q and %d %q %s results on stdin, want equal non-zero counts\n",
+			len(cand), name, len(ref), against, metric)
 		return 1
 	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "bench2json: %s: %v\n", baselinePath, err)
-		return 1
+	ratios := make([]float64, len(cand))
+	for i := range cand {
+		ratios[i] = cand[i] / ref[i]
 	}
-	cur, ok := findMetric(rep, name, metric)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "bench2json: %q %s not found on stdin\n", name, metric)
-		return 1
-	}
-	want, ok := findMetric(base, against, metric)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "bench2json: %q %s not found in %s\n", against, metric, baselinePath)
-		return 1
-	}
-	limit := want * (1 + rel)
+	sort.Float64s(ratios)
+	n := len(ratios)
+	median := (ratios[(n-1)/2] + ratios[n/2]) / 2
 	verdict := "OK"
 	code := 0
-	if cur > limit {
+	if !(median <= 1+rel) {
 		verdict = "REGRESSED"
 		code = 1
 	}
-	fmt.Printf("%s: %s %s = %g vs %s = %g in %s (limit %g, +%.0f%%)\n",
-		verdict, name, metric, cur, against, want, baselinePath, limit, rel*100)
+	fmt.Printf("%s: %s / %s %s median ratio %.4f over %d pairs (min %.4f, max %.4f; limit %.4f)\n",
+		verdict, name, against, metric, median, n, ratios[0], ratios[n-1], 1+rel)
 	return code
 }
 
-// findMetric looks a benchmark's metric up by name, ignoring the
-// "-<GOMAXPROCS>" suffix go test appends, on both sides.
-func findMetric(rep Report, name, metric string) (float64, bool) {
+// metricRuns returns a benchmark's metric from every run in rep, in
+// input order, ignoring the "-<GOMAXPROCS>" suffix go test appends.
+func metricRuns(rep Report, name, metric string) []float64 {
+	var vs []float64
 	for _, b := range rep.Benchmarks {
 		if stripCPUSuffix(b.Name) != stripCPUSuffix(name) {
 			continue
 		}
-		v, ok := b.Metrics[metric]
-		return v, ok
+		if v, ok := b.Metrics[metric]; ok {
+			vs = append(vs, v)
+		}
 	}
-	return 0, false
+	return vs
 }
 
 // stripCPUSuffix removes a trailing "-<digits>" benchmark-name suffix.

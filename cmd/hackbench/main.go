@@ -32,10 +32,10 @@
 //	    -baseline baseline.json          # exits 1 on regression
 //
 //	# spatial PHY: sweep registered topologies as a campaign axis, or
-//	# pin the channel geometry for the whole sweep
+//	# put the whole sweep on the default path-loss geometry
 //	hackbench -sweep ht150-stock -sweep-modes off,more-data \
 //	    -sweep-topologies 2bss-overlap,2bss-hidden -airtime
-//	hackbench -sweep ht150-stock -geometry degenerate -format json
+//	hackbench -sweep ht150-stock -geometry pathloss -format json
 //
 // The comparison aggregates rows with group-by (swept axes minus the
 // seed by default; -groupby overrides) and flags any group whose
@@ -74,7 +74,7 @@ func main() {
 	sweepAdapters := flag.String("sweep-adapters", "", "comma-separated rate adapters to sweep (fixed, fixed:<rate>, ideal, argmax, minstrel)")
 	sweepRates := flag.String("sweep-rates", "", "comma-separated PHY rates to sweep (a6..a54, mcs0..mcs7, mcs<i>x<streams>)")
 	sweepTopologies := flag.String("sweep-topologies", "", "comma-separated registered topology names to sweep (default, degenerate, 2bss-hidden, 2bss-overlap, grid-3x3-dense)")
-	geometry := flag.String("geometry", "", "pin the sweep's channel geometry: scalar (legacy channel), pathloss (default spatial), or degenerate (spatial pinned to scalar semantics)")
+	geometry := flag.String("geometry", "", "pathloss: run the sweep on the default path-loss geometry (unset: the scenario's own)")
 	fig11Method := flag.String("fig11-method", "ideal", "Figure 11 method: ideal, minstrel (one simulation per SNR), or envelope (legacy fixed-rate sweep)")
 	format := flag.String("format", "text", "sweep output: text, csv, json")
 	saveBaseline := flag.String("save-baseline", "", "aggregate the sweep and persist it as a baseline JSON file")
@@ -212,7 +212,7 @@ func main() {
 			// Geometry mutates the base configuration, which the wire
 			// protocol cannot carry; topologies travel by name instead.
 			if sw.geometry != "" {
-				finish(2, fmt.Errorf("-geometry applies to local sweeps only, not -submit; sweep the degenerate topology instead"))
+				finish(2, fmt.Errorf("-geometry applies to local sweeps only, not -submit; sweep a topology instead"))
 			}
 			finish(runSubmit(sw, o, *server, *shardSize, *wait, *minCached, retry))
 		}
@@ -339,14 +339,10 @@ func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
 	}
 	switch sw.geometry {
 	case "":
-	case "scalar":
-		tcphack.WithGeometry(nil)(&base)
 	case "pathloss":
 		tcphack.WithPathLoss()(&base)
-	case "degenerate":
-		tcphack.WithGeometry(tcphack.DegenerateGeometry())(&base)
 	default:
-		return 0, fmt.Errorf("unknown geometry %q (want scalar, pathloss, or degenerate)", sw.geometry)
+		return 0, fmt.Errorf("unknown geometry %q (want pathloss)", sw.geometry)
 	}
 
 	workload, err := tcphack.NamedCampaignWorkload(tcphack.ScenarioWorkload(sw.scenario))

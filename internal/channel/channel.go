@@ -55,10 +55,11 @@ type Transmission struct {
 	End      sim.Time
 	collided bool
 
-	// Spatial-regime state: the source's radio index and, per receiver
-	// index, the worst-instant aggregate interference power (mW) seen
-	// during the frame. +Inf marks a receiver that was itself
-	// transmitting during an overlap (half-duplex: it can never decode).
+	// The source's radio index and, per receiver index, the
+	// worst-instant aggregate interference power (mW) seen during the
+	// frame; nil until the frame first overlaps another. +Inf marks a
+	// receiver that was itself transmitting during an overlap
+	// (half-duplex: it can never decode).
 	srcIdx    int
 	interfMax []float64
 }
@@ -142,7 +143,6 @@ type Medium struct {
 	model    ErrorModel
 	rng      *rand.Rand
 	radios   []Radio
-	active   map[*Transmission]struct{}
 	finishFn func(any) // persistent Post callback for transmission ends
 
 	// Tracer, when non-nil, receives tx_start / tx_end / collision
@@ -152,17 +152,16 @@ type Medium struct {
 	// nextMeta annotates the next Transmit for tracing (see StageTx).
 	nextMeta TxMeta
 
-	// Geometry, when non-nil, switches the medium to the spatial PHY:
-	// per-pair path loss, per-receiver carrier sensing, and SINR-based
-	// capture (see doc.go). Assign it before the first Transmit; radio
-	// positions are sampled when the power matrix is built and must not
-	// move afterwards. Nil keeps the scalar single-collision-domain
-	// channel bit-identical to pre-spatial builds.
+	// Geometry configures per-pair path loss, per-receiver carrier
+	// sensing, and SINR capture (see doc.go). Assign it before the first
+	// Transmit; radio positions are sampled when the power matrix is
+	// built and must not move afterwards. Nil means DegenerateGeometry():
+	// one collision domain, whatever the positions.
 	Geometry *Geometry
 
-	// Spatial-regime state, built lazily by ensureSpatial.
+	// Per-radio state, built lazily by ensureSpatial.
 	radioIdx   map[Radio]int
-	powerMW    [][]float64 // symmetric rx-power matrix, diagonal 0
+	powerMW    [][]float64 // symmetric rx-power matrix (see ensureSpatial)
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
 	senseMW    []float64   // summed on-air rx power at each radio
@@ -170,18 +169,18 @@ type Medium struct {
 	noiseMW    float64
 	csMW       float64
 	floorMW    float64
+	marginDB   float64
 	scratchSum []float64
 	scratchOut []Outcome
 	interfFree [][]float64
 
 	// Stats.
-	TxCount        uint64
-	CollidedTx     uint64
-	CorruptedRx    uint64
-	DeliveredRx    uint64
-	AirtimeBusy    sim.Duration
-	lastBusyStart  sim.Time
-	busyDepthTotal int
+	TxCount       uint64
+	CollidedTx    uint64
+	CorruptedRx   uint64
+	DeliveredRx   uint64
+	AirtimeBusy   sim.Duration
+	lastBusyStart sim.Time
 }
 
 // New creates a medium using the scheduler's clock and a forked random
@@ -194,9 +193,8 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 		model = NoLoss{}
 	}
 	m := &Medium{
-		sched:  sched,
-		rng:    sched.ForkRand(),
-		active: make(map[*Transmission]struct{}),
+		sched: sched,
+		rng:   sched.ForkRand(),
 	}
 	m.finishFn = func(a any) { m.finish(a.(*Transmission)) }
 	if forked, ok := forkModel(model, sched.ForkRand); ok {
@@ -210,7 +208,7 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 func (m *Medium) Attach(r Radio) { m.radios = append(m.radios, r) }
 
 // Busy reports whether any transmission is in flight.
-func (m *Medium) Busy() bool { return len(m.active) > 0 }
+func (m *Medium) Busy() bool { return len(m.activeList) > 0 }
 
 // TxMeta annotates the next Transmit call for tracing: the MAC stages
 // it (StageTx) immediately before transmitting, carrying the frame
@@ -238,6 +236,11 @@ func (m *Medium) StageTx(meta TxMeta) { m.nextMeta = meta }
 // Transmit starts sending frame at rate; the PPDU carries length
 // payload bytes. Completion (and delivery at every other radio) is
 // scheduled automatically. Returns the transmission for tracing.
+//
+// Transmit accrues interference maxima on every overlapping
+// transmission, marks coupled collisions (traced in transmit order of
+// the ongoing frames), registers the transmission, and re-evaluates
+// per-radio carrier state. It draws no randomness.
 func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Transmission {
 	now := m.sched.Now()
 	tx := &Transmission{
@@ -256,70 +259,189 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 		m.Tracer.TxStart(now, tx.ID, meta.Src, meta.Dst, meta.Class,
 			rate.Kbps, length, meta.MPDUs, meta.Retried, tx.End, meta.Extra)
 	}
-	if m.Geometry != nil {
-		m.transmitSpatial(tx, now)
-		m.sched.Post(tx.End, m.finishFn, tx)
-		return tx
-	}
-	// Any overlap collides every involved transmission, both ways. A
-	// transmission ending exactly now does not overlap (its finish event
-	// may simply not have run yet at this instant).
-	for other := range m.active {
-		if other.End <= now {
-			continue
-		}
-		if m.Tracer != nil {
-			m.Tracer.Collision(now, tx.ID, other.ID)
-		}
-		if !tx.collided {
-			tx.collided = true
-			m.CollidedTx++
-		}
-		if !other.collided {
-			other.collided = true
-			m.CollidedTx++
-		}
-	}
-	if len(m.active) == 0 {
+	m.ensureSpatial()
+	nR := len(m.radios)
+	si := m.radioIdx[src]
+	tx.srcIdx = si
+	row := m.powerMW[si]
+	// Sensed-energy bookkeeping: the new transmission's power lands at
+	// every radio. A fresh busy period copies rather than accumulates,
+	// which also discards any float drift from the previous period.
+	if len(m.activeList) == 0 {
 		m.lastBusyStart = now
-		for _, r := range m.radios {
-			r.CarrierBusy()
+		copy(m.senseMW, row)
+	} else {
+		for j := 0; j < nR; j++ {
+			m.senseMW[j] += row[j]
 		}
 	}
-	m.active[tx] = struct{}{}
+	// A transmission ending exactly now does not overlap (its finish
+	// event may simply not have run yet at this instant).
+	nOverlap := 0
+	for _, o := range m.activeList {
+		if o.End > now {
+			nOverlap++
+		}
+	}
+	if nOverlap > 0 {
+		// Total received power at each radio with the new transmission
+		// on the air.
+		S := m.scratchSum
+		copy(S, row)
+		for _, o := range m.activeList {
+			if o.End <= now {
+				continue
+			}
+			orow := m.powerMW[o.srcIdx]
+			for j := 0; j < nR; j++ {
+				S[j] += orow[j]
+			}
+		}
+		tx.interfMax = m.interfBuf(nR)
+		for _, o := range m.activeList {
+			if o.End <= now {
+				continue
+			}
+			oi := o.srcIdx
+			orow := m.powerMW[oi]
+			if o.interfMax == nil {
+				o.interfMax = m.interfBuf(nR)
+			}
+			// Worst-instant aggregate interference for the ongoing
+			// transmission at every receiver. +Inf entries (half-duplex)
+			// are sticky: no finite max can overwrite them.
+			for j := 0; j < nR; j++ {
+				if j == oi {
+					continue
+				}
+				if v := S[j] - orow[j]; v > o.interfMax[j] {
+					o.interfMax[j] = v
+				}
+			}
+			// Half-duplex: a radio transmitting during any part of a
+			// frame can never decode that frame.
+			o.interfMax[si] = math.Inf(1)
+			tx.interfMax[oi] = math.Inf(1)
+			// The pair is a coupled collision — traced and counted —
+			// when the sources hear each other or share any in-range
+			// third receiver. Uncoupled overlaps are mere spatial reuse.
+			coupled := row[oi] >= m.floorMW
+			if !coupled {
+				for j := 0; j < nR; j++ {
+					if j == si || j == oi {
+						continue
+					}
+					if row[j] >= m.floorMW && orow[j] >= m.floorMW {
+						coupled = true
+						break
+					}
+				}
+			}
+			if coupled {
+				if m.Tracer != nil {
+					m.Tracer.Collision(now, tx.ID, o.ID)
+				}
+				if !tx.collided {
+					tx.collided = true
+					m.CollidedTx++
+				}
+				if !o.collided {
+					o.collided = true
+					m.CollidedTx++
+				}
+			}
+		}
+		for j := 0; j < nR; j++ {
+			if j == si {
+				continue
+			}
+			if v := S[j] - row[j]; v > tx.interfMax[j] {
+				tx.interfMax[j] = v
+			}
+		}
+	}
+	m.txOwn[si]++
+	m.activeList = append(m.activeList, tx)
+	m.updateCarrier()
 	m.sched.Post(tx.End, m.finishFn, tx)
 	return tx
 }
 
+// finish ends a transmission: per-receiver decode decisions from the
+// accrued interference maxima, deliveries in attach order, then carrier
+// re-evaluation strictly after deliveries.
 func (m *Medium) finish(tx *Transmission) {
-	if m.Geometry != nil {
-		m.finishSpatial(tx)
-		return
+	now := m.sched.Now()
+	for i, o := range m.activeList {
+		if o == tx {
+			m.activeList = append(m.activeList[:i], m.activeList[i+1:]...)
+			break
+		}
 	}
-	delete(m.active, tx)
-	if len(m.active) == 0 {
-		m.AirtimeBusy += m.sched.Now() - m.lastBusyStart
+	m.ensureSpatial()
+	si := tx.srcIdx
+	m.txOwn[si]--
+	row := m.powerMW[si]
+	// The departing transmission's power leaves the air; a fully idle
+	// medium resets the sums exactly, bounding float drift to one busy
+	// period.
+	if len(m.activeList) == 0 {
+		m.AirtimeBusy += now - m.lastBusyStart
+		for j := range m.senseMW {
+			m.senseMW[j] = 0
+		}
+	} else {
+		for j := range m.senseMW {
+			m.senseMW[j] -= row[j]
+		}
 	}
-	if m.Tracer != nil {
-		m.Tracer.TxEnd(m.sched.Now(), tx.ID, tx.collided)
-	}
-	for _, r := range m.radios {
-		if r == tx.Source {
+	thr := SINRThresholdDB(tx.Rate) + m.marginDB
+	floor, noise, interf := m.floorMW, m.noiseMW, tx.interfMax
+	out := m.scratchOut
+	for j := range out {
+		out[j] = rxNone
+		rp := row[j]
+		if j == si || rp < floor {
 			continue
 		}
-		outcome := RxOK
-		if tx.collided {
-			outcome = RxCollided
+		iv := 0.0
+		if j < len(interf) {
+			iv = interf[j]
 		}
-		r.EndRx(tx, outcome)
-	}
-	// Idle notification strictly after deliveries: receivers see the
-	// frame before timers that the idle transition may restart.
-	if len(m.active) == 0 {
-		for _, r := range m.radios {
-			r.CarrierIdle()
+		switch {
+		case iv == 0:
+			// Never overlapped at this receiver: decodes; noise
+			// corruption is drawn separately via Corrupted.
+			out[j] = RxOK
+		case math.IsInf(iv, 1):
+			out[j] = RxCollided
+		default:
+			if 10*math.Log10(rp/(noise+iv)) >= thr {
+				out[j] = RxOK
+			} else {
+				out[j] = RxCollided
+			}
+		}
+		if out[j] == RxCollided && !tx.collided {
+			tx.collided = true
+			m.CollidedTx++
 		}
 	}
+	if m.Tracer != nil {
+		m.Tracer.TxEnd(now, tx.ID, tx.collided)
+	}
+	for j, r := range m.radios {
+		if j < len(out) && out[j] != rxNone {
+			r.EndRx(tx, out[j])
+		}
+	}
+	if tx.interfMax != nil {
+		m.interfFree = append(m.interfFree, tx.interfMax)
+		tx.interfMax = nil
+	}
+	// Carrier re-evaluation strictly after deliveries: receivers see
+	// the frame before timers that an idle transition may restart.
+	m.updateCarrier()
 }
 
 // Corrupted draws whether a decode unit of length bytes from src

@@ -1,17 +1,6 @@
-// Package channel models the shared wireless medium in one of two
-// regimes selected by Medium.Geometry.
-//
-// # Scalar regime (Geometry == nil)
-//
-// The legacy single collision domain: every attached radio hears every
-// transmission, any overlap in time collides every involved frame at
-// every receiver (no capture effect), and non-collided frames are
-// subject to an error model. This is the regime every pre-spatial
-// golden baseline was recorded under, and it remains bit-identical.
-//
-// # Spatial regime (Geometry != nil)
-//
-// Radios have positions and the medium computes physics per pair:
+// Package channel models the shared wireless medium. Radios have
+// positions, and the medium computes physics per pair under its
+// Geometry:
 //
 //   - A log-distance path-loss model yields a symmetric per-pair
 //     received-power matrix (Geometry.RxPowerDBm), built lazily from
@@ -31,14 +20,22 @@
 //     other (half-duplex). Receivers below Geometry.DeliveryFloorDBm
 //     get no EndRx at all — no NAV, no EIFS, no promiscuous copy.
 //
-// The scalar regime is exactly the degenerate point of the spatial
-// one: DegenerateGeometry() (carrier sense and delivery floor at -Inf,
-// capture margin +Inf) reproduces the scalar channel's busy edges,
-// collision marking, and deliveries byte-for-byte on the same event
-// stream, drawing zero additional random numbers. The differential
-// suite in internal/node pins that equivalence.
+// # One collision domain
 //
-// Error models are orthogonal to both regimes and range from "no
+// A nil Geometry means DegenerateGeometry(): carrier sense and delivery
+// floor at -Inf, capture margin +Inf. Every radio hears every
+// transmission, any overlap in time collides every involved frame at
+// every receiver, and positions do not matter. This is the paper's
+// single-AP testbed and the regime every golden baseline was recorded
+// under. Under it every power test reduces to "above zero", so the
+// medium shares one row of ones across all radios instead of building
+// the N² power matrix. The differential suite in internal/node pins
+// its event traces and result rows to values recorded from the
+// medium's original single-collision-domain implementation.
+//
+// # Error models
+//
+// Error models are orthogonal to the geometry and range from "no
 // loss" through fixed per-link frame loss (used to reproduce the
 // paper's SoRa testbed, which observed 12%/2% loss for stock TCP vs
 // TCP/HACK) to a physical SNR model: log-distance path loss feeding

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"tcphack/internal/phy"
-	"tcphack/internal/sim"
 )
 
 // Geometry configures the spatial PHY regime (see doc.go): log-distance
@@ -26,7 +25,7 @@ type Geometry struct {
 	// CSThresholdDBm is the energy-detect carrier-sense threshold: a
 	// radio reports busy while the summed received power of in-flight
 	// transmissions is at or above it. -Inf makes every radio sense
-	// every transmission (the scalar channel's global busy state).
+	// every transmission (one global busy state).
 	CSThresholdDBm float64
 	// DeliveryFloorDBm is the weakest received power at which a frame
 	// is still handed to a receiver at all. Below it there is no EndRx:
@@ -34,7 +33,7 @@ type Geometry struct {
 	DeliveryFloorDBm float64
 	// CaptureMarginDB is added to the rate's SINR decode threshold when
 	// a frame suffered overlap. 0 models ideal capture; +Inf disables
-	// capture entirely (any overlap collides, the scalar semantics).
+	// capture entirely (any overlap collides).
 	CaptureMarginDB float64
 }
 
@@ -54,18 +53,26 @@ func DefaultGeometry() *Geometry {
 	}
 }
 
-// DegenerateGeometry returns the spatial configuration that reproduces
-// the scalar channel exactly regardless of radio positions: every radio
-// senses every transmission (CS threshold -Inf), every frame reaches
-// every radio (delivery floor -Inf), and capture never succeeds
-// (margin +Inf), so any overlap collides everywhere. It is the oracle
-// geometry for the differential suite.
+// DegenerateGeometry returns the single collision domain of the paper's
+// testbed, whatever the radio positions: every radio senses every
+// transmission (CS threshold -Inf), every frame reaches every radio
+// (delivery floor -Inf), and capture never succeeds (margin +Inf), so
+// any overlap collides everywhere. A nil Medium.Geometry means this
+// geometry.
 func DegenerateGeometry() *Geometry {
 	g := DefaultGeometry()
 	g.CSThresholdDBm = math.Inf(-1)
 	g.DeliveryFloorDBm = math.Inf(-1)
 	g.CaptureMarginDB = math.Inf(1)
 	return g
+}
+
+// completeGraph reports whether g makes the medium one collision
+// domain regardless of radio positions: every radio senses and
+// receives every transmission, and any overlap collides.
+func (g *Geometry) completeGraph() bool {
+	return math.IsInf(g.CSThresholdDBm, -1) && math.IsInf(g.DeliveryFloorDBm, -1) &&
+		math.IsInf(g.CaptureMarginDB, 1)
 }
 
 // RxPowerDBm returns the received power at distance metres under the
@@ -122,7 +129,7 @@ var sinrThresholds sync.Map
 
 // SINRThresholdDB returns the decode threshold for rate: the lowest
 // SINR (dB) at which a 1460-byte frame's FrameErrorRate is at most
-// 10%. It reuses the scalar channel's SNR→FER tables, so the capture
+// 10%. It reuses the SNR model's SNR→FER tables, so the capture
 // model and the noise model share one waterfall per rate.
 func SINRThresholdDB(rate phy.Rate) float64 {
 	if v, ok := sinrThresholds.Load(rate); ok {
@@ -146,10 +153,10 @@ func SINRThresholdDB(rate phy.Rate) float64 {
 // (below the delivery floor, or the source itself).
 const rxNone Outcome = -1
 
-// ensureSpatial (idempotently) extends the spatial state to cover all
-// attached radios: index map, symmetric power matrix, per-radio
-// carrier state, and linear-domain thresholds. Radios attached after
-// the first Transmit get rows appended; existing indices never move.
+// ensureSpatial (idempotently) extends the per-radio state to cover
+// all attached radios: index map, symmetric power matrix, carrier
+// state, and linear-domain thresholds. Radios attached after the first
+// Transmit get rows appended; existing indices never move.
 func (m *Medium) ensureSpatial() {
 	n := len(m.radios)
 	if len(m.powerMW) == n {
@@ -159,31 +166,48 @@ func (m *Medium) ensureSpatial() {
 		m.radioIdx = make(map[Radio]int, n)
 	}
 	g := m.Geometry
+	if g == nil {
+		g = DegenerateGeometry()
+	}
 	old := len(m.powerMW)
-	mat := make([][]float64, n)
-	buf := make([]float64, n*n)
-	for i := range mat {
-		mat[i] = buf[i*n : (i+1)*n]
-	}
-	for i := 0; i < old; i++ {
-		copy(mat[i], m.powerMW[i])
-	}
 	for i := old; i < n; i++ {
 		m.radioIdx[m.radios[i]] = i
 		m.txOwn = append(m.txOwn, 0)
 		m.senseBusy = append(m.senseBusy, false)
 		m.senseMW = append(m.senseMW, 0)
 	}
-	for i := 0; i < n; i++ {
-		pi := m.radios[i].Position()
-		lo := i + 1
-		if lo < old {
-			lo = old
+	mat := make([][]float64, n)
+	if g.completeGraph() {
+		// Carrier sense and delivery thresholds are 0 mW and capture
+		// never succeeds, so the only power test left is whether the
+		// interference at a receiver is above zero: every row aliases
+		// one shared row of ones, and no path loss is computed.
+		ones := make([]float64, n)
+		for j := range ones {
+			ones[j] = 1
 		}
-		for j := lo; j < n; j++ {
-			p := phy.DBmToMilliwatts(g.RxPowerDBm(pi.DistanceTo(m.radios[j].Position())))
-			mat[i][j] = p
-			mat[j][i] = p
+		for i := range mat {
+			mat[i] = ones
+		}
+	} else {
+		buf := make([]float64, n*n)
+		for i := range mat {
+			mat[i] = buf[i*n : (i+1)*n]
+		}
+		for i := 0; i < old; i++ {
+			copy(mat[i], m.powerMW[i])
+		}
+		for i := 0; i < n; i++ {
+			pi := m.radios[i].Position()
+			lo := i + 1
+			if lo < old {
+				lo = old
+			}
+			for j := lo; j < n; j++ {
+				p := phy.DBmToMilliwatts(g.RxPowerDBm(pi.DistanceTo(m.radios[j].Position())))
+				mat[i][j] = p
+				mat[j][i] = p
+			}
 		}
 	}
 	m.powerMW = mat
@@ -197,6 +221,7 @@ func (m *Medium) ensureSpatial() {
 	m.noiseMW = phy.DBmToMilliwatts(g.NoiseDBm)
 	m.csMW = phy.DBmToMilliwatts(g.CSThresholdDBm)
 	m.floorMW = phy.DBmToMilliwatts(g.DeliveryFloorDBm)
+	m.marginDB = g.CaptureMarginDB
 	m.scratchSum = make([]float64, n)
 	m.scratchOut = make([]Outcome, n)
 }
@@ -218,212 +243,21 @@ func (m *Medium) interfBuf(n int) []float64 {
 	return make([]float64, n)
 }
 
-// transmitSpatial is the spatial-regime half of Transmit: it accrues
-// interference maxima on every overlapping transmission, marks coupled
-// collisions, registers the transmission, and re-evaluates per-radio
-// carrier state. It draws no randomness.
-func (m *Medium) transmitSpatial(tx *Transmission, now sim.Time) {
-	m.ensureSpatial()
-	nR := len(m.radios)
-	si := m.radioIdx[tx.Source]
-	tx.srcIdx = si
-	tx.interfMax = m.interfBuf(nR)
-	row := m.powerMW[si]
-	if len(m.active) == 0 {
-		m.lastBusyStart = now
-	}
-	// Sensed-energy bookkeeping: the new transmission's power lands at
-	// every radio. A fresh busy period copies rather than accumulates,
-	// which also discards any float drift from the previous period.
-	if len(m.activeList) == 0 {
-		copy(m.senseMW, row)
-	} else {
-		for j := 0; j < nR; j++ {
-			m.senseMW[j] += row[j]
-		}
-	}
-	// A transmission ending exactly now does not overlap (its finish
-	// event may simply not have run yet at this instant).
-	nOverlap := 0
-	for _, o := range m.activeList {
-		if o.End > now {
-			nOverlap++
-		}
-	}
-	if nOverlap > 0 {
-		// Total received power at each radio with the new transmission
-		// on the air.
-		S := m.scratchSum
-		copy(S, row)
-		for _, o := range m.activeList {
-			if o.End <= now {
-				continue
-			}
-			orow := m.powerMW[o.srcIdx]
-			for j := 0; j < nR; j++ {
-				S[j] += orow[j]
-			}
-		}
-		for _, o := range m.activeList {
-			if o.End <= now {
-				continue
-			}
-			oi := o.srcIdx
-			orow := m.powerMW[oi]
-			// Worst-instant aggregate interference for the ongoing
-			// transmission at every receiver. +Inf entries (half-duplex)
-			// are sticky: no finite max can overwrite them.
-			for j := 0; j < nR; j++ {
-				if j == oi {
-					continue
-				}
-				if v := S[j] - orow[j]; v > o.interfMax[j] {
-					o.interfMax[j] = v
-				}
-			}
-			// Half-duplex: a radio transmitting during any part of a
-			// frame can never decode that frame.
-			o.interfMax[si] = math.Inf(1)
-			tx.interfMax[oi] = math.Inf(1)
-			// The pair is a coupled collision — traced and counted —
-			// when the sources hear each other or share any in-range
-			// third receiver. Uncoupled overlaps are mere spatial reuse.
-			coupled := row[oi] >= m.floorMW
-			if !coupled {
-				for j := 0; j < nR; j++ {
-					if j == si || j == oi {
-						continue
-					}
-					if row[j] >= m.floorMW && orow[j] >= m.floorMW {
-						coupled = true
-						break
-					}
-				}
-			}
-			if coupled {
-				if m.Tracer != nil {
-					m.Tracer.Collision(now, tx.ID, o.ID)
-				}
-				if !tx.collided {
-					tx.collided = true
-					m.CollidedTx++
-				}
-				if !o.collided {
-					o.collided = true
-					m.CollidedTx++
-				}
-			}
-		}
-		for j := 0; j < nR; j++ {
-			if j == si {
-				continue
-			}
-			if v := S[j] - row[j]; v > tx.interfMax[j] {
-				tx.interfMax[j] = v
-			}
-		}
-	}
-	m.txOwn[si]++
-	m.active[tx] = struct{}{}
-	m.activeList = append(m.activeList, tx)
-	m.updateCarrierSpatial()
-}
-
-// finishSpatial is the spatial-regime half of finish: per-receiver
-// decode decisions from the accrued interference maxima, deliveries in
-// attach order, then carrier re-evaluation strictly after deliveries.
-func (m *Medium) finishSpatial(tx *Transmission) {
-	now := m.sched.Now()
-	delete(m.active, tx)
-	for i, o := range m.activeList {
-		if o == tx {
-			m.activeList = append(m.activeList[:i], m.activeList[i+1:]...)
-			break
-		}
-	}
-	m.ensureSpatial()
-	si := tx.srcIdx
-	m.txOwn[si]--
-	if len(m.active) == 0 {
-		m.AirtimeBusy += now - m.lastBusyStart
-	}
-	g := m.Geometry
-	row := m.powerMW[si]
-	// The departing transmission's power leaves the air; a fully idle
-	// medium resets the sums exactly, bounding float drift to one busy
-	// period.
-	if len(m.activeList) == 0 {
-		for j := range m.senseMW {
-			m.senseMW[j] = 0
-		}
-	} else {
-		for j := range m.senseMW {
-			m.senseMW[j] -= row[j]
-		}
-	}
-	thr := SINRThresholdDB(tx.Rate) + g.CaptureMarginDB
-	out := m.scratchOut
-	for j := range out {
-		out[j] = rxNone
-		if j == si {
-			continue
-		}
-		rp := row[j]
-		if rp < m.floorMW {
-			continue
-		}
-		iv := 0.0
-		if j < len(tx.interfMax) {
-			iv = tx.interfMax[j]
-		}
-		switch {
-		case iv == 0:
-			// Never overlapped at this receiver: decodes; noise
-			// corruption is drawn separately via Corrupted.
-			out[j] = RxOK
-		case math.IsInf(iv, 1):
-			out[j] = RxCollided
-		default:
-			if 10*math.Log10(rp/(m.noiseMW+iv)) >= thr {
-				out[j] = RxOK
-			} else {
-				out[j] = RxCollided
-			}
-		}
-		if out[j] == RxCollided && !tx.collided {
-			tx.collided = true
-			m.CollidedTx++
-		}
-	}
-	if m.Tracer != nil {
-		m.Tracer.TxEnd(now, tx.ID, tx.collided)
-	}
-	for j, r := range m.radios {
-		if j < len(out) && out[j] != rxNone {
-			r.EndRx(tx, out[j])
-		}
-	}
-	m.interfFree = append(m.interfFree, tx.interfMax)
-	tx.interfMax = nil
-	// Carrier re-evaluation strictly after deliveries: receivers see
-	// the frame before timers that an idle transition may restart.
-	m.updateCarrierSpatial()
-}
-
-// updateCarrierSpatial re-reads each radio's sensed-energy state (the
-// senseMW sums maintained by transmitSpatial/finishSpatial) and emits
+// updateCarrier re-reads each radio's sensed-energy state (the senseMW
+// sums maintained by Transmit and finish) and emits
 // CarrierBusy/CarrierIdle edges for radios whose state changed, in
 // attach order. A radio is busy while it is transmitting or while the
 // summed power of transmissions on the air reaches the carrier-sense
 // threshold. Transmissions past their End but not yet finished still
 // count — they are on the air until their finish event runs, which
 // keeps idle edges strictly after deliveries.
-func (m *Medium) updateCarrierSpatial() {
+func (m *Medium) updateCarrier() {
 	onAir := len(m.activeList) > 0
+	cs, own, sense, state := m.csMW, m.txOwn, m.senseMW, m.senseBusy
 	for j, r := range m.radios {
-		busy := m.txOwn[j] > 0 || (onAir && m.senseMW[j] >= m.csMW)
-		if busy != m.senseBusy[j] {
-			m.senseBusy[j] = busy
+		busy := own[j] > 0 || (onAir && sense[j] >= cs)
+		if busy != state[j] {
+			state[j] = busy
 			if busy {
 				r.CarrierBusy()
 			} else {

@@ -10,7 +10,7 @@ import (
 	"tcphack/internal/sim"
 )
 
-// scriptedMedium builds a medium with three radios in the legacy test
+// scriptedMedium builds a medium with three radios in the channel test
 // layout and runs a fixed transmission script with overlapping and
 // sequential frames — the stimulus for the degenerate-geometry
 // equivalence check.
@@ -36,33 +36,76 @@ func scriptedMedium(g *Geometry) (*Medium, []*testRadio) {
 }
 
 // TestDegenerateMatchesScalar is the channel-level differential check:
-// the spatial engine pinned to the degenerate geometry must reproduce
-// the scalar channel's observable behavior — outcomes, frames, carrier
-// edges, and counters — exactly.
+// the degenerate geometry, explicit or as the nil default, must
+// reproduce the scalar channel's observable behavior on the script —
+// outcomes, frames, carrier edges, and counters — exactly. The expected
+// values were recorded from the scalar implementation before it was
+// removed.
 func TestDegenerateMatchesScalar(t *testing.T) {
-	lm, lr := scriptedMedium(nil)
-	sm, sr := scriptedMedium(DegenerateGeometry())
+	want := []testRadio{
+		{received: []Outcome{RxCollided, RxOK, RxCollided, RxCollided},
+			frames: []any{"B1", "C1", "B2", "C2"}, busy: 3, idle: 3},
+		{received: []Outcome{RxCollided, RxOK, RxCollided, RxCollided},
+			frames: []any{"A1", "C1", "A2", "C2"}, busy: 3, idle: 3},
+		{received: []Outcome{RxCollided, RxCollided, RxCollided, RxCollided},
+			frames: []any{"A1", "B1", "A2", "B2"}, busy: 3, idle: 3},
+	}
+	for _, g := range []struct {
+		name string
+		geom *Geometry
+	}{{"nil", nil}, {"degenerate", DegenerateGeometry()}} {
+		m, radios := scriptedMedium(g.geom)
+		for i, r := range radios {
+			if !reflect.DeepEqual(r.received, want[i].received) {
+				t.Errorf("%s: radio %d outcomes %v, scalar %v", g.name, i, r.received, want[i].received)
+			}
+			if !reflect.DeepEqual(r.frames, want[i].frames) {
+				t.Errorf("%s: radio %d frames %v, scalar %v", g.name, i, r.frames, want[i].frames)
+			}
+			if r.busy != want[i].busy || r.idle != want[i].idle {
+				t.Errorf("%s: radio %d busy/idle %d/%d, scalar %d/%d",
+					g.name, i, r.busy, r.idle, want[i].busy, want[i].idle)
+			}
+		}
+		if m.TxCount != 6 || m.CollidedTx != 5 || m.AirtimeBusy != 634*sim.Microsecond {
+			t.Errorf("%s: TxCount/CollidedTx/AirtimeBusy = %d/%d/%v, scalar 6/5/634µs",
+				g.name, m.TxCount, m.CollidedTx, m.AirtimeBusy)
+		}
+	}
+}
 
-	for i := range lr {
-		if !reflect.DeepEqual(lr[i].received, sr[i].received) {
-			t.Errorf("radio %d outcomes: scalar %v, spatial %v", i, lr[i].received, sr[i].received)
+// TestDegenerateIgnoresPositions: under the degenerate geometry the
+// medium is one collision domain however far apart the radios are —
+// even where path loss underflows to 0 mW — and it builds no N² power
+// matrix: every row aliases one shared row.
+func TestDegenerateIgnoresPositions(t *testing.T) {
+	s := sim.NewScheduler(1)
+	m := New(s, nil)
+	a := &testRadio{}
+	b := &testRadio{pos: Pos{X: 1e300}}
+	c := &testRadio{pos: Pos{Y: 1e300}}
+	m.Attach(a)
+	m.Attach(b)
+	m.Attach(c)
+	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, "A") })
+	s.At(10*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1500, "B") })
+	s.Run()
+	for i, r := range []*testRadio{a, b, c} {
+		for _, o := range r.received {
+			if o != RxCollided {
+				t.Errorf("radio %d outcomes %v, want all collided", i, r.received)
+				break
+			}
 		}
-		if !reflect.DeepEqual(lr[i].frames, sr[i].frames) {
-			t.Errorf("radio %d frames: scalar %v, spatial %v", i, lr[i].frames, sr[i].frames)
-		}
-		if lr[i].busy != sr[i].busy || lr[i].idle != sr[i].idle {
-			t.Errorf("radio %d busy/idle: scalar %d/%d, spatial %d/%d",
-				i, lr[i].busy, lr[i].idle, sr[i].busy, sr[i].idle)
+		if r.busy != 1 || r.idle != 1 {
+			t.Errorf("radio %d busy/idle %d/%d, want 1/1", i, r.busy, r.idle)
 		}
 	}
-	if lm.TxCount != sm.TxCount {
-		t.Errorf("TxCount: scalar %d, spatial %d", lm.TxCount, sm.TxCount)
+	if len(c.received) != 2 || m.CollidedTx != 2 {
+		t.Errorf("third radio got %d frames, CollidedTx %d; want 2 and 2", len(c.received), m.CollidedTx)
 	}
-	if lm.CollidedTx != sm.CollidedTx {
-		t.Errorf("CollidedTx: scalar %d, spatial %d", lm.CollidedTx, sm.CollidedTx)
-	}
-	if lm.AirtimeBusy != sm.AirtimeBusy {
-		t.Errorf("AirtimeBusy: scalar %v, spatial %v", lm.AirtimeBusy, sm.AirtimeBusy)
+	if &m.powerMW[0][0] != &m.powerMW[2][0] {
+		t.Error("degenerate geometry built per-radio power rows")
 	}
 }
 

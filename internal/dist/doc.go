@@ -109,11 +109,12 @@
 //
 // # Fault injection
 //
-// FaultStore and FaultTransport wrap the store and the client's HTTP
-// transport with seeded deterministic fault schedules — failures,
-// delays, silent post-write corruption, dropped requests and
-// responses, duplicates, synthetic 503s — each firing counted per
-// class. The chaos tests (and CI's chaos-smoke job) run full sweeps
+// The package's tests wrap the store and the client's HTTP transport
+// with seeded deterministic fault schedules — failures, delays, silent
+// post-write corruption, dropped requests and responses, duplicates,
+// synthetic 503s — each firing counted per class. The injectors live in
+// the package's _test.go files, so production builds carry none of
+// them. The chaos tests (and CI's chaos-smoke job) run full sweeps
 // under kills and faults and assert both that the output stayed
 // byte-identical and that every fault class actually fired.
 package dist

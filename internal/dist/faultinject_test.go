@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -284,4 +285,26 @@ func (t *FaultTransport) Stats() FaultTransportStats {
 		Injected503s:     atomic.LoadInt64(&t.stats.Injected503s),
 		Delayed:          atomic.LoadInt64(&t.stats.Delayed),
 	}
+}
+
+// CorruptEntry flips bytes in the middle of fp's stored file in place
+// — the fault-injection hook FaultStore uses to model bit rot. A
+// subsequent Get fails the CRC check and quarantines the entry.
+// Missing entries are a no-op.
+func (s *DirStore) CorruptEntry(fp string) error {
+	path, err := s.path(fp)
+	if err != nil {
+		return err
+	}
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for i := len(data) / 2; i < len(data)/2+8 && i < len(data); i++ {
+		data[i] ^= 0xff
+	}
+	return os.WriteFile(path, data, 0o644)
 }

@@ -201,28 +201,6 @@ func (s *DirStore) Put(fp string, r campaign.Result) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// CorruptEntry flips bytes in the middle of fp's stored file in place
-// — the fault-injection hook FaultStore uses to model bit rot. A
-// subsequent Get fails the CRC check and quarantines the entry.
-// Missing entries are a no-op.
-func (s *DirStore) CorruptEntry(fp string) error {
-	path, err := s.path(fp)
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for i := len(data) / 2; i < len(data)/2+8 && i < len(data); i++ {
-		data[i] ^= 0xff
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // Purge implements Purger: entries whose recorded CodeVersion differs
 // from keepVersion, entries too corrupt to read a version out of, and
 // previously quarantined *.corrupt files are deleted (or only counted,

@@ -1,15 +1,20 @@
-// Differential geometry harness: the scalar channel (the engine's
-// original medium) is the oracle for the spatial PHY pinned to the
-// degenerate geometry — every radio senses everything, every frame
-// reaches everyone, any overlap collides. Driven from the same ht150
-// network workload as the scheduler differential suite, the two
-// regimes must produce identical event-time traces, and a campaign
-// sweep over the degenerate geometry must emit byte-identical result
-// rows. Any divergence is a spatial-engine semantics bug.
+// Differential geometry harness: the medium's original scalar
+// implementation — every radio senses everything, every frame reaches
+// everyone, any overlap collides — is the oracle for the spatial engine
+// pinned to the degenerate geometry, which is also what a nil
+// Config.Geometry means. The scalar implementation itself is gone; what
+// remains of it is its output, recorded before its removal: event-time
+// digests of the ht150 network workload (the same one the scheduler
+// differential suite drives) and the JSON rows of a small campaign
+// sweep. Any divergence is a spatial-engine semantics bug.
 package node_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"os"
 	"testing"
 
 	"tcphack/internal/campaign"
@@ -21,9 +26,11 @@ import (
 )
 
 // geometryTrace runs the ht150 network (aggregated 802.11n, HACK
-// MORE-DATA, 3 TCP downloads) on the given channel regime and records
-// the virtual time of every executed event.
-func geometryTrace(geom *channel.Geometry, loss float64, maxEvents int) ([]sim.Time, uint64) {
+// MORE-DATA, 3 TCP downloads) on the given geometry for at most
+// maxEvents events and returns the number of events executed, the
+// scheduler's EventsFired, and the SHA-256 of the event times (each a
+// little-endian int64).
+func geometryTrace(geom *channel.Geometry, loss float64, maxEvents int) (int, uint64, string) {
 	opts := []scenario.Option{
 		scenario.With80211n(),
 		scenario.WithClients(3),
@@ -38,56 +45,71 @@ func geometryTrace(geom *channel.Geometry, loss float64, maxEvents int) ([]sim.T
 	for ci := 0; ci < 3; ci++ {
 		n.StartDownload(ci, 0, sim.Duration(ci)*sim.Millisecond)
 	}
-	trace := make([]sim.Time, 0, maxEvents)
-	for len(trace) < maxEvents && n.Sched.Step() {
-		trace = append(trace, n.Sched.Now())
+	h := sha256.New()
+	var buf [8]byte
+	events := 0
+	for events < maxEvents && n.Sched.Step() {
+		binary.LittleEndian.PutUint64(buf[:], uint64(n.Sched.Now()))
+		h.Write(buf[:])
+		events++
 	}
-	return trace, n.Sched.EventsFired()
+	return events, n.Sched.EventsFired(), hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDifferentialGeometryTrace requires the spatial engine under the
-// degenerate geometry to replay the scalar channel's event trace
-// exactly, lossless and at 5% uniform loss. Loss exercises the RNG
-// path: the spatial regime must draw exactly the same random numbers
-// at the same points, or retry timers shift and the traces diverge.
+// TestDifferentialGeometryTrace requires the degenerate geometry, both
+// explicit and as the nil default, to replay the scalar channel's
+// recorded event trace exactly, lossless and at 5% uniform loss. Loss
+// exercises the RNG path: the spatial engine must draw exactly the same
+// random numbers at the same points, or retry timers shift and the
+// digests diverge.
 func TestDifferentialGeometryTrace(t *testing.T) {
 	const maxEvents = 200_000
 	for _, tc := range []struct {
-		name string
-		loss float64
-	}{{"lossless", 0}, {"loss5pct", 0.05}} {
+		name   string
+		loss   float64
+		fired  uint64
+		digest string
+	}{
+		{"lossless", 0, 200_000, "d6dd7b1e1d518d834b334b53d7d8152affda50d374fa40ab802a3f8c1941fa31"},
+		{"loss5pct", 0.05, 200_000, "10a448a0845721f2d05770de816067b73193d07514327453bf302e6f69f1d743"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			scalar, scalarFired := geometryTrace(nil, tc.loss, maxEvents)
-			spatial, spatialFired := geometryTrace(channel.DegenerateGeometry(), tc.loss, maxEvents)
-			if len(scalar) != len(spatial) {
-				t.Fatalf("trace length: scalar %d, spatial %d", len(scalar), len(spatial))
-			}
-			if len(scalar) < maxEvents/2 {
-				t.Fatalf("degenerate trace: only %d events", len(scalar))
-			}
-			for i := range scalar {
-				if scalar[i] != spatial[i] {
-					t.Fatalf("trace diverges at event %d: scalar %v, spatial %v",
-						i, scalar[i], spatial[i])
+			for _, g := range []struct {
+				name string
+				geom *channel.Geometry
+			}{{"nil", nil}, {"degenerate", channel.DegenerateGeometry()}} {
+				events, fired, digest := geometryTrace(g.geom, tc.loss, maxEvents)
+				if events != maxEvents {
+					t.Fatalf("%s geometry: trace stopped after %d events, want %d", g.name, events, maxEvents)
 				}
-			}
-			if scalarFired != spatialFired {
-				t.Fatalf("events fired: scalar %d, spatial %d", scalarFired, spatialFired)
+				if fired != tc.fired {
+					t.Errorf("%s geometry: events fired %d, scalar oracle %d", g.name, fired, tc.fired)
+				}
+				if digest != tc.digest {
+					t.Errorf("%s geometry: event-time digest %s, scalar oracle %s", g.name, digest, tc.digest)
+				}
 			}
 		})
 	}
 }
 
-// TestDifferentialCampaignRows runs one small sweep twice — scalar
-// base vs the same base pinned to the degenerate geometry — and
-// requires the emitted JSON result rows to be byte-identical: every
-// metric, counter, and airtime bucket, across modes, seeds, and a
-// lossy point.
+// TestDifferentialCampaignRows runs one small sweep — across modes,
+// seeds, and a lossy point, with the airtime ledger on — and requires
+// its JSON rows to match, byte for byte, the rows the scalar channel
+// emitted for the same sweep (testdata/degenerate-oracle-rows.json).
+// Every metric, counter, and airtime bucket is covered.
 func TestDifferentialCampaignRows(t *testing.T) {
-	spec := func(geom *channel.Geometry) campaign.Spec {
+	want, err := os.ReadFile("testdata/degenerate-oracle-rows.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name string
+		geom *channel.Geometry
+	}{{"nil", nil}, {"degenerate", channel.DegenerateGeometry()}} {
 		cfg := scenario.New(scenario.With80211n(), scenario.WithClients(2))
-		cfg.Geometry = geom
-		return campaign.Spec{
+		cfg.Geometry = g.geom
+		spec := campaign.Spec{
 			Name: "differential",
 			Base: cfg,
 			Axes: campaign.Axes{
@@ -100,16 +122,13 @@ func TestDifferentialCampaignRows(t *testing.T) {
 			Workers: 2,
 			Airtime: true,
 		}
-	}
-	var scalar, spatial bytes.Buffer
-	if err := campaign.Run(spec(nil)).WriteJSON(&scalar); err != nil {
-		t.Fatal(err)
-	}
-	if err := campaign.Run(spec(channel.DegenerateGeometry())).WriteJSON(&spatial); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(scalar.Bytes(), spatial.Bytes()) {
-		t.Errorf("campaign rows diverge between scalar and degenerate-spatial runs:\n--- scalar ---\n%s\n--- spatial ---\n%s",
-			scalar.String(), spatial.String())
+		var got bytes.Buffer
+		if err := campaign.Run(spec).WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s geometry: campaign rows diverge from the scalar oracle:\n--- got ---\n%s\n--- want ---\n%s",
+				g.name, got.String(), want)
+		}
 	}
 }

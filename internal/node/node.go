@@ -78,9 +78,10 @@ type Config struct {
 	// entry per BSS, all sharing the medium. Empty means one implicit
 	// BSS built from APPos/Clients/ClientPos (the legacy layout).
 	BSSs []BSSSpec
-	// Geometry, when non-nil, switches the shared medium to the
-	// spatial PHY (per-pair path loss, per-receiver carrier sense,
-	// SINR capture). Nil keeps the scalar collision-domain channel.
+	// Geometry configures the shared medium's spatial PHY (per-pair
+	// path loss, per-receiver carrier sense, SINR capture). Nil means
+	// channel.DegenerateGeometry(): one collision domain, the paper's
+	// testbed.
 	Geometry *channel.Geometry
 
 	// Queues: the paper sizes the AP transmit queue at 126 packets per
@@ -134,6 +135,10 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.BSSs) == 0 {
 		c.BSSs = []BSSSpec{{APPos: c.APPos, Clients: c.Clients, ClientPos: c.ClientPos}}
+	} else {
+		// The caller's slice may be shared by concurrently built
+		// networks (a campaign base): fill the defaults into a copy.
+		c.BSSs = append([]BSSSpec(nil), c.BSSs...)
 	}
 	for bi := range c.BSSs {
 		if c.BSSs[bi].Clients == 0 {

@@ -349,13 +349,7 @@ func (c *Compressor) Observe(p *packet.Packet) {
 		if ctx.valid && ctx.tuple == tupleOf(p) {
 			ctx.refreshed = true
 		}
-		if debugLog != nil {
-			debugLog("CNAT-SKIP cid=%d native.ack=%d ctx.ack=%d", cid, p.TCP.Ack, ctx.ack)
-		}
 		return
-	}
-	if debugLog != nil {
-		debugLog("CNAT-ABSORB cid=%d native.ack=%d ctx.ack=%d", cid, p.TCP.Ack, ctx.ack)
 	}
 	ctx.absorb(p)
 	// The MSN counter deliberately survives the absorb: it must stay
@@ -527,10 +521,6 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		}
 	}
 	buf = append(buf, headerCRC(p, &c.scratch))
-	if debugLog != nil {
-		debugLog("COMP cid=%d msn=%d ack=%d seq=%d win=%d tsv=%d tse=%d ipid=%d sack=%d flags=%x opt=%x",
-			cid, msn, t.Ack, t.Seq, t.Window, t.Opt.TSVal, t.Opt.TSEcr, p.IP.ID, nSACK, flags, opt)
-	}
 
 	// Commit the context only after a successful encode.
 	ctx.seq, ctx.ack = t.Seq, t.Ack
@@ -667,12 +657,6 @@ func NewDecompressor() *Decompressor {
 	}
 }
 
-// debugLog, when set, receives decompressor diagnostics (tests only).
-var debugLog func(format string, args ...any)
-
-// SetDebugLog installs a diagnostic logger (tests only).
-func SetDebugLog(f func(string, ...any)) { debugLog = f }
-
 // Observe records a natively-received TCP ACK, establishing the flow
 // context, re-anchoring it on newer state, or restoring it after CRC
 // damage. The absorb rule mirrors the compressor's exactly.
@@ -687,13 +671,7 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 		d.contexts[cid] = ctx
 	}
 	if !ctx.shouldAbsorb(p) {
-		if debugLog != nil {
-			debugLog("OBS-SKIP cid=%d native.ack=%d ctx.ack=%d valid=%v", cid, p.TCP.Ack, ctx.ack, ctx.valid)
-		}
 		return
-	}
-	if debugLog != nil {
-		debugLog("OBS-ABSORB cid=%d native.ack=%d ctx.ack=%d wasvalid=%v", cid, p.TCP.Ack, ctx.ack, ctx.valid)
 	}
 	ctx.absorb(p)
 	ctx.msn = 0
@@ -928,12 +906,6 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 		ctx.seq+uint32(seqD), ctx.ack+uint32(ackD), window,
 		opt&optTS != 0, ctx.tsVal+uint32(tsValD), ctx.tsEcr+uint32(tsEcrD), sacks)
 
-	if debugLog != nil && headerCRC(p, &d.scratch) != wantCRC {
-		debugLog("CRCFAIL cid=%d msn=%d ctx.ack=%d recon=[ack=%d seq=%d win=%d tsv=%d tse=%d ipid=%d] strides[ack=%d tsv=%d tse=%d ipid=%d] lasts[%d %d %d %d] flags=%x opt=%x started=%v",
-			cid, msn, ctx.ack, p.TCP.Ack, p.TCP.Seq, p.TCP.Window, p.TCP.Opt.TSVal, p.TCP.Opt.TSEcr, p.IP.ID,
-			ctx.ackStride, ctx.tsValStride, ctx.tsEcrStride, ctx.ipIDStride,
-			ctx.lastAckD, ctx.lastTSValD, ctx.lastTSEcrD, ctx.lastIPIDD, flags, opt, ctx.started)
-	}
 	if headerCRC(p, &d.scratch) != wantCRC {
 		// Context damage: reject and distrust until a native or IR
 		// refresh (paper §3.4 — damage must not persist; the flow's
@@ -951,9 +923,6 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	ctx.learn(uint32(ackD), uint32(tsValD), uint32(tsEcrD), uint16(ipIDD))
 	ctx.msn = msn
 	ctx.started = true
-	if debugLog != nil {
-		debugLog("DELIV cid=%d msn=%d ack=%d", cid, msn, p.TCP.Ack)
-	}
 	res.Packets = append(res.Packets, p)
 	return i, nil
 }
@@ -1024,9 +993,6 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 	ctx.absorb(p)
 	ctx.msn = f.msn
 	ctx.started = true
-	if debugLog != nil {
-		debugLog("DELIV-IR cid=%d msn=%d ack=%d", f.cid, f.msn, p.TCP.Ack)
-	}
 	res.Packets = append(res.Packets, p)
 	return nil
 }

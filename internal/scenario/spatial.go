@@ -10,7 +10,8 @@ import (
 
 // WithGeometry installs a spatial PHY configuration on the medium
 // (per-pair path loss, per-receiver carrier sense, SINR capture). Nil
-// restores the scalar collision-domain channel.
+// restores the default single collision domain (the degenerate
+// geometry).
 func WithGeometry(g *channel.Geometry) Option {
 	return func(c *node.Config) { c.Geometry = g }
 }
@@ -147,9 +148,9 @@ func TopologyNames() []string {
 //   - grid-3x3-dense: one BSS, nine clients on a 5 m grid — the dense
 //     deployment where everyone senses everyone.
 func init() {
-	RegisterTopology("default", "scalar channel, legacy star topology")
+	RegisterTopology("default", "one collision domain, star topology")
 	RegisterTopology("degenerate",
-		"spatial PHY pinned to the scalar channel's semantics (differential oracle)",
+		"the default collision domain as an explicit geometry (differential oracle)",
 		WithGeometry(channel.DegenerateGeometry()))
 	RegisterTopology("2bss-hidden",
 		"two BSSs 80 m apart, mutually hidden APs, client clusters in the crossfire",

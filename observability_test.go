@@ -4,8 +4,14 @@
 package tcphack
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"sync"
 	"testing"
+
+	"tcphack/internal/sim"
 )
 
 // observabilityCampaign is the grid both determinism tests run: both
@@ -150,6 +156,104 @@ func TestAirtimeConservation(t *testing.T) {
 		}
 		if eff := rep.Efficiency(); eff <= 0 || eff > 1 {
 			t.Errorf("loss=%g: efficiency %v out of (0, 1]", loss, eff)
+		}
+	}
+}
+
+// traceBytesCampaign is a 30-client MORE-DATA grid over two seeds: dense
+// enough that three transmissions overlap, which is where an unordered
+// collision loop would emit its probes in a varying order.
+func traceBytesCampaign(workers int, backend sim.Backend) Campaign {
+	base := NewScenario(With80211n(), WithClients(30), WithMode(ModeMoreData))
+	base.SchedulerBackend = backend
+	return Campaign{
+		Name:    "trace-bytes",
+		Base:    base,
+		Axes:    CampaignAxes{Seeds: CampaignSeeds(1, 2)},
+		Warmup:  Second,
+		Measure: Second,
+		Workers: workers,
+	}
+}
+
+// tracedPoints runs spec with a JSONL writer on every grid point and
+// returns each point's trace bytes, indexed by point.
+func tracedPoints(t *testing.T, spec Campaign) [][]byte {
+	t.Helper()
+	bufs := make([]*bytes.Buffer, len(spec.Points()))
+	var mu sync.Mutex
+	spec.Trace = func(pt CampaignPoint) Tracer {
+		b := new(bytes.Buffer)
+		mu.Lock()
+		bufs[pt.Index] = b
+		mu.Unlock()
+		return NewTraceWriter(b)
+	}
+	RunCampaign(spec)
+	out := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		if b == nil || b.Len() == 0 {
+			t.Fatalf("point %d wrote no trace", i)
+		}
+		out[i] = b.Bytes()
+	}
+	return out
+}
+
+// multiCollisions counts transmissions that collided with two or more
+// ongoing ones at their start: consecutive collision records sharing
+// a time and a transmission ID.
+func multiCollisions(t *testing.T, jsonl []byte) int {
+	t.Helper()
+	type record struct {
+		T    int64  `json:"t"`
+		Kind string `json:"kind"`
+		ID   uint64 `json:"id"`
+	}
+	var prev record
+	n := 0
+	sc := bufio.NewScanner(bytes.NewReader(jsonl))
+	for sc.Scan() {
+		var cur record
+		if err := json.Unmarshal(sc.Bytes(), &cur); err != nil {
+			t.Fatal(err)
+		}
+		if cur.Kind == "collision" && prev.Kind == "collision" && cur.T == prev.T && cur.ID == prev.ID {
+			n++
+		}
+		prev = cur
+	}
+	return n
+}
+
+// TestTraceBytesDeterministic requires the same seeds to produce
+// byte-identical JSONL traces on every run, for campaign worker counts
+// 1 and 2 and either scheduler backend — not just the same multiset of
+// records. The grid must contain multi-way collisions, the case that
+// exercises the order of collision probes.
+func TestTraceBytesDeterministic(t *testing.T) {
+	want := tracedPoints(t, traceBytesCampaign(1, sim.BackendWheel))
+	multi := 0
+	for _, b := range want {
+		multi += multiCollisions(t, b)
+	}
+	if multi == 0 {
+		t.Fatal("no transmission collided with two others; the grid does not exercise probe order")
+	}
+	// Three more runs of the same seeds cover every worker-count and
+	// backend combination, each a fresh chance for an unordered probe
+	// loop to reorder records.
+	for _, run := range []struct {
+		workers int
+		backend sim.Backend
+		name    string
+	}{{2, sim.BackendWheel, "wheel"}, {1, sim.BackendHeap, "heap"}, {2, sim.BackendHeap, "heap"}} {
+		got := tracedPoints(t, traceBytesCampaign(run.workers, run.backend))
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s backend, workers %d: point %d trace sha256 %x, first run %x",
+					run.name, run.workers, i, sha256.Sum256(got[i]), sha256.Sum256(want[i]))
+			}
 		}
 	}
 }

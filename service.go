@@ -56,13 +56,6 @@ type (
 	// DistStorePurger is the optional garbage-collection side of a
 	// DistStore (hackbench -store-gc); the file-dir store implements it.
 	DistStorePurger = dist.Purger
-	// DistFaultStore wraps a DistStore with a seeded deterministic
-	// fault schedule — failure, delay, and post-Put corruption — for
-	// chaos testing against your own store deployments.
-	DistFaultStore = dist.FaultStore
-	// DistFaultTransport is a fault-injecting http.RoundTripper for the
-	// DistClient: seeded drops, duplicates, 503s, and delays.
-	DistFaultTransport = dist.FaultTransport
 )
 
 // NewDistServer assembles a daemon, resuming any jobs persisted in the

@@ -162,7 +162,7 @@ var (
 	WithTopology = scenario.WithTopology
 	// WithGeometry installs a spatial PHY configuration on the medium
 	// (per-pair path loss, per-receiver carrier sense, SINR capture);
-	// nil restores the scalar collision-domain channel.
+	// nil restores the default single collision domain.
 	WithGeometry = scenario.WithGeometry
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
@@ -223,9 +223,9 @@ type (
 // with an 802.11-style -82 dBm carrier-sense threshold.
 func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
 
-// DegenerateGeometry returns the spatial configuration that reproduces
-// the scalar channel exactly regardless of positions — the oracle
-// geometry for differential testing.
+// DegenerateGeometry returns the single-collision-domain geometry a nil
+// Geometry means: every radio senses and receives every transmission
+// and any overlap collides, regardless of positions.
 func DegenerateGeometry() *Geometry { return channel.DegenerateGeometry() }
 
 // TopologyNames lists registered topology names, sorted — the
