@@ -15,6 +15,7 @@ import (
 
 	"tcphack/internal/node"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // steadyStateAllocBudget is the allowed mallocs per executed scheduler
@@ -69,7 +70,7 @@ func TestScaleAllocBudget(t *testing.T) {
 // is off the probe sites skip the call entirely behind a nil check, so
 // this bounds the worst case.)
 func TestNopTracerAllocFree(t *testing.T) {
-	var tr Tracer = NopTracer{}
+	var tr Tracer = trace.Nop{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.TxStart(0, 1, 2, 3, 0, 150000, 1500, 16, 0, 100, 0)
 		tr.Collision(50, 1, 2)
@@ -91,7 +92,7 @@ func TestNopTracerAllocFree(t *testing.T) {
 }
 
 func TestSteadyStateAllocBudget(t *testing.T) {
-	cfg := Scenario80211n(ModeMoreData, 2)
+	cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(2))
 	n := node.New(cfg)
 	for ci := 0; ci < 2; ci++ {
 		n.StartDownload(ci, 0, 0)

@@ -19,8 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -187,54 +185,48 @@ func runStatus(server, target string, retry tcphack.DistRetryPolicy) (int, error
 	return 0, enc.Encode(v)
 }
 
-// runSubmit posts the sweep as a job; with wait it polls to
+// runSubmit posts the sweep as a job; with -wait it polls to
 // completion, fetches the merged rows, and feeds them through the same
 // emit/baseline path a local sweep uses — output is byte-identical.
-// minCached > 0 additionally gates on the memoization hit fraction
+// -min-cached > 0 additionally gates on the memoization hit fraction
 // (the repeated-sweep CI assertion).
-func runSubmit(sw sweepConfig, o tcphack.ExperimentOptions, server string,
-	shardSize int, wait bool, minCached float64, retry tcphack.DistRetryPolicy) (int, error) {
-	if server == "" {
+func runSubmit(c *cli, retry tcphack.DistRetryPolicy) (int, error) {
+	if c.server == "" {
 		return 0, fmt.Errorf("-submit needs -server <url>")
 	}
-	switch sw.format {
-	case "text", "csv", "json":
-	default:
-		return 0, fmt.Errorf("unknown format %q (want text, csv, or json)", sw.format)
-	}
-	spec, err := wireFromSweep(sw, o)
+	spec, _, err := c.sweepSpec()
 	if err != nil {
 		return 0, err
 	}
-	c := tcphack.DistClient{BaseURL: server, Retry: retry}
-	st, err := c.Submit(spec, shardSize)
+	client := tcphack.DistClient{BaseURL: c.server, Retry: retry}
+	st, err := client.Submit(spec, c.shardSize)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Fprintf(os.Stderr, "job %s submitted: %s point(s), %s cached, %s shard(s)\n",
 		st.ID, groupInt(st.TotalPoints), groupInt(st.CachedPoints), groupInt(st.ShardsTotal))
-	if !wait {
+	if !c.wait {
 		fmt.Println(st.ID)
 		return 0, nil
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if st, err = c.WaitDone(ctx, st.ID, 0); err != nil {
+	if st, err = client.WaitDone(ctx, st.ID, 0); err != nil {
 		return 0, err
 	}
-	rows, err := c.Rows(st.ID)
+	rows, err := client.Rows(st.ID)
 	if err != nil {
 		return 0, err
 	}
-	code, err := emitAndCompare(sw, rows)
+	code, err := emitAndCompare(c, rows)
 	if err != nil {
 		return code, err
 	}
-	if minCached > 0 {
+	if c.minCached > 0 {
 		frac := float64(st.CachedPoints) / float64(st.TotalPoints)
-		if frac < minCached {
+		if frac < c.minCached {
 			fmt.Fprintf(os.Stderr, "memoization gate: %d/%d points cached (%.0f%%), want ≥ %.0f%%\n",
-				st.CachedPoints, st.TotalPoints, frac*100, minCached*100)
+				st.CachedPoints, st.TotalPoints, frac*100, c.minCached*100)
 			return 1, nil
 		}
 		fmt.Fprintf(os.Stderr, "memoization gate: %d/%d points cached (%.0f%%) — ok\n",
@@ -246,18 +238,18 @@ func runSubmit(sw sweepConfig, o tcphack.ExperimentOptions, server string,
 // runDryRun prints the planned grid — per-point fingerprints and
 // expected memoization hits against the -state store — without
 // simulating anything.
-func runDryRun(sw sweepConfig, o tcphack.ExperimentOptions, stateDir string, shardSize int) (int, error) {
-	spec, err := wireFromSweep(sw, o)
+func runDryRun(c *cli) (int, error) {
+	spec, _, err := c.sweepSpec()
 	if err != nil {
 		return 0, err
 	}
 	var store tcphack.DistStore
-	if stateDir != "" {
-		if store, err = tcphack.NewDistDirStore(filepath.Join(stateDir, "cache")); err != nil {
+	if c.stateDir != "" {
+		if store, err = tcphack.NewDistDirStore(filepath.Join(c.stateDir, "cache")); err != nil {
 			return 0, err
 		}
 	}
-	plan, err := tcphack.NewDistPlan(spec, store, tcphack.SimCodeVersion, shardSize)
+	plan, err := tcphack.NewDistPlan(spec, store, tcphack.SimCodeVersion, c.shardSize)
 	if err != nil {
 		return 0, err
 	}
@@ -281,52 +273,4 @@ func runDryRun(sw sweepConfig, o tcphack.ExperimentOptions, stateDir string, sha
 	}
 	fmt.Println()
 	return 0, nil
-}
-
-// wireFromSweep converts the -sweep flag set into a wire-form campaign
-// spec, validating it by materializing once locally.
-func wireFromSweep(sw sweepConfig, o tcphack.ExperimentOptions) (tcphack.WireCampaign, error) {
-	w := tcphack.WireCampaign{
-		Scenario: sw.scenario,
-		Axes: tcphack.WireCampaignAxes{
-			Modes:      splitCSV(sw.modes),
-			Rates:      splitCSV(sw.rates),
-			Adapters:   splitCSV(sw.adapters),
-			Topologies: splitCSV(sw.topologies),
-			Seeds:      tcphack.CampaignSeeds(o.Seed, o.Runs),
-		},
-		Warmup:  o.Warmup,
-		Measure: o.Measure,
-	}
-	for _, s := range splitCSV(sw.clients) {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return w, fmt.Errorf("bad client count %q", s)
-		}
-		w.Axes.Clients = append(w.Axes.Clients, n)
-	}
-	for _, s := range splitCSV(sw.loss) {
-		p, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return w, fmt.Errorf("bad loss probability %q", s)
-		}
-		w.Axes.Loss = append(w.Axes.Loss, p)
-	}
-	if _, err := w.Spec(); err != nil {
-		return w, err
-	}
-	return w, nil
-}
-
-// splitCSV splits a comma-separated flag into trimmed fields ("" → no
-// fields).
-func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		out = append(out, strings.TrimSpace(f))
-	}
-	return out
 }

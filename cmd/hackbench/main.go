@@ -59,67 +59,18 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 1a, 1b, 9, 10, 11, 12, loss (empty = all)")
-	table := flag.Int("table", 0, "table to regenerate: 1, 2, 3 (0 = all)")
-	xval := flag.Bool("xval", false, "run only the §4.2 cross-validation")
-	measure := flag.Duration("measure", 3*time.Second, "steady-state measurement window (simulated)")
-	warmup := flag.Duration("warmup", 2*time.Second, "warmup before measurement (simulated)")
-	runs := flag.Int("runs", 1, "repetitions to average (paper used 5)")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	sweep := flag.String("sweep", "", "run an ad-hoc campaign over this named scenario (see hacksim -list)")
-	sweepModes := flag.String("sweep-modes", "", "comma-separated HACK modes to sweep (off,more-data,opportunistic,timer)")
-	sweepClients := flag.String("sweep-clients", "", "comma-separated client counts to sweep")
-	sweepLoss := flag.String("sweep-loss", "", "comma-separated uniform loss probabilities to sweep")
-	sweepAdapters := flag.String("sweep-adapters", "", "comma-separated rate adapters to sweep (fixed, fixed:<rate>, ideal, argmax, minstrel)")
-	sweepRates := flag.String("sweep-rates", "", "comma-separated PHY rates to sweep (a6..a54, mcs0..mcs7, mcs<i>x<streams>)")
-	sweepTopologies := flag.String("sweep-topologies", "", "comma-separated registered topology names to sweep (default, degenerate, 2bss-hidden, 2bss-overlap, grid-3x3-dense)")
-	geometry := flag.String("geometry", "", "pathloss: run the sweep on the default path-loss geometry (unset: the scenario's own)")
-	fig11Method := flag.String("fig11-method", "ideal", "Figure 11 method: ideal, minstrel (one simulation per SNR), or envelope (legacy fixed-rate sweep)")
-	format := flag.String("format", "text", "sweep output: text, csv, json")
-	saveBaseline := flag.String("save-baseline", "", "aggregate the sweep and persist it as a baseline JSON file")
-	baseline := flag.String("baseline", "", "compare the sweep against this baseline file; exit 1 on regression")
-	groupBy := flag.String("groupby", "", "comma-separated axis columns to group the aggregation by (default: swept axes minus seed; with -baseline: the baseline's grouping)")
-	tolFlag := flag.String("tol", "", "per-metric relative-tolerance overrides for -baseline, e.g. aggregate_mbps=0.10,retries=0.25")
-	progress := flag.Bool("progress", false, "report sweep progress (rows completed / total) on stderr")
-	traceRun := flag.Bool("trace", false, "with -sweep: write one JSONL flight-recorder trace per grid point (see -trace-dir)")
-	traceDir := flag.String("trace-dir", "traces", "with -trace: directory for the per-point JSONL traces")
-	airtime := flag.Bool("airtime", false, "with -sweep: attach the airtime ledger and emit airtime_*_pct / airtime_efficiency extra columns")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
-	serve := flag.String("serve", "", "run the campaign daemon on this address (e.g. 127.0.0.1:8077)")
-	stateDir := flag.String("state", "", "with -serve: jobs + memoization directory (empty = in-memory); with -dry-run: the store to probe for expected hits")
-	leaseTTL := flag.Duration("lease", 30*time.Second, "with -serve: shard lease TTL before an unheartbeated shard is re-queued")
-	shardSize := flag.Int("shard", 0, "grid points per distributed shard (0 = server default)")
-	workerURL := flag.String("worker", "", "run a shard worker against this daemon URL")
-	workerName := flag.String("worker-name", "", "with -worker: worker name for leases and liveness (default host-pid)")
-	poll := flag.Duration("poll", 0, "with -worker: idle poll base interval, doubling with jitter up to -max-poll when the queue stays empty (0 = 200ms default)")
-	maxPoll := flag.Duration("max-poll", 0, "with -worker: idle poll backoff ceiling (0 = 5s default)")
-	retries := flag.Int("retries", 0, "daemon API attempts per request before giving up, for -worker/-submit/-status (0 = 5 default)")
-	retryWait := flag.Duration("retry-wait", 0, "base backoff before the first daemon API retry, doubling with jitter (0 = 100ms default)")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-attempt daemon API request timeout (0 = 15s default)")
-	storeGC := flag.Bool("store-gc", false, "purge -state's memoization cache of entries from other code versions and quarantined corrupt files")
-	gcDryRun := flag.Bool("gc-dry-run", false, "with -store-gc: count stale entries without deleting anything")
-	server := flag.String("server", "", "daemon URL for -submit and -status")
-	submit := flag.Bool("submit", false, "submit the -sweep campaign to -server instead of running it locally")
-	wait := flag.Bool("wait", false, "with -submit: wait for completion and emit the merged rows per -format")
-	minCached := flag.Float64("min-cached", 0, "with -submit -wait: exit 1 unless at least this fraction of grid points was served from the memoization store")
-	status := flag.String("status", "", "with -server: print a job's status as JSON ('all' lists every job, 'metrics' prints the daemon snapshot)")
-	dryRun := flag.Bool("dry-run", false, "with -sweep: print the planned grid with per-point fingerprints and expected cache hits, without simulating")
+	c := defineFlags(flag.CommandLine)
 	flag.Parse()
-
 	// Flag values consumed deep inside the run are validated before
 	// profiling starts, so no later path needs to bail out past the
 	// profile flushing.
-	switch *fig11Method {
-	case "ideal", "minstrel", "envelope":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig11-method %q (want ideal, minstrel, or envelope)\n", *fig11Method)
+	if err := c.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -132,11 +83,11 @@ func main() {
 	// os.Exit bypasses defers, so every exit path funnels through here
 	// to flush the profiles.
 	exit := func(code int) {
-		if *cpuprofile != "" {
+		if c.cpuprofile != "" {
 			pprof.StopCPUProfile()
 		}
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
+		if c.memprofile != "" {
+			f, err := os.Create(c.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -151,16 +102,8 @@ func main() {
 		os.Exit(code)
 	}
 
-	o := tcphack.ExperimentOptions{
-		Warmup:  tcphack.Duration(*warmup),
-		Measure: tcphack.Duration(*measure),
-		Runs:    *runs,
-		Seed:    *seed,
-		Workers: *workers,
-	}
-
-	// Distributed modes run before (and instead of) the local figure
-	// and sweep paths; all of them funnel through exit.
+	// Distributed modes and sweeps run before (and instead of) the
+	// figure paths; all of them funnel through exit.
 	finish := func(code int, err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -169,62 +112,35 @@ func main() {
 		exit(code)
 	}
 	retry := tcphack.DistRetryPolicy{
-		MaxAttempts: *retries,
-		BaseDelay:   *retryWait,
-		Timeout:     *reqTimeout,
+		MaxAttempts: c.retries,
+		BaseDelay:   c.retryWait,
+		Timeout:     c.reqTimeout,
 	}
 	switch {
-	case *serve != "":
-		finish(runServe(*serve, *stateDir, *leaseTTL, *shardSize))
-	case *workerURL != "":
-		finish(runWorker(*workerURL, *workerName, *poll, *maxPoll, retry))
-	case *status != "":
-		finish(runStatus(*server, *status, retry))
-	case *storeGC:
-		finish(runStoreGC(*stateDir, *gcDryRun))
+	case c.serve != "":
+		finish(runServe(c.serve, c.stateDir, c.leaseTTL, c.shardSize))
+	case c.workerURL != "":
+		finish(runWorker(c.workerURL, c.workerName, c.poll, c.maxPoll, retry))
+	case c.status != "":
+		finish(runStatus(c.server, c.status, retry))
+	case c.storeGC:
+		finish(runStoreGC(c.stateDir, c.gcDryRun))
+	case c.sweep != "" && c.dryRun:
+		finish(runDryRun(c))
+	case c.sweep != "" && c.submit:
+		finish(runSubmit(c, retry))
+	case c.sweep != "":
+		finish(runSweep(c))
 	}
 
-	if *sweep != "" {
-		sw := sweepConfig{
-			scenario: *sweep,
-			modes:    *sweepModes, clients: *sweepClients, loss: *sweepLoss,
-			adapters: *sweepAdapters, rates: *sweepRates,
-			topologies:   *sweepTopologies,
-			geometry:     *geometry,
-			format:       *format,
-			saveBaseline: *saveBaseline, baseline: *baseline,
-			groupBy: *groupBy, tol: *tolFlag,
-			progress: *progress,
-			airtime:  *airtime,
-		}
-		if *traceRun {
-			sw.traceDir = *traceDir
-		}
-		switch {
-		case *dryRun:
-			finish(runDryRun(sw, o, *stateDir, *shardSize))
-		case *submit:
-			// Traces are local artifacts; the wire protocol does not carry
-			// tracer hooks (and must not, to keep shard results memoizable).
-			if sw.traceDir != "" || sw.airtime {
-				finish(2, fmt.Errorf("-trace and -airtime apply to local sweeps only, not -submit"))
-			}
-			// Geometry mutates the base configuration, which the wire
-			// protocol cannot carry; topologies travel by name instead.
-			if sw.geometry != "" {
-				finish(2, fmt.Errorf("-geometry applies to local sweeps only, not -submit; sweep a topology instead"))
-			}
-			finish(runSubmit(sw, o, *server, *shardSize, *wait, *minCached, retry))
-		}
-		code, err := runSweep(sw, o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		exit(code)
+	o := tcphack.ExperimentOptions{
+		Warmup:  tcphack.Duration(c.warmup),
+		Measure: tcphack.Duration(c.measure),
+		Runs:    c.runs,
+		Seed:    c.seed,
+		Workers: c.workers,
 	}
-
-	all := *fig == "" && *table == 0 && !*xval
+	all := c.fig == "" && c.table == 0 && !c.xval
 	did := false
 	run := func(name string, want bool, f func()) {
 		if !(all || want) {
@@ -236,16 +152,16 @@ func main() {
 		fmt.Println()
 	}
 
-	run("Figure 1(a): theoretical goodput, 802.11a", *fig == "1a", func() { fig1a() })
-	run("Figure 1(b): theoretical goodput, 802.11n", *fig == "1b", func() { fig1b() })
-	run("Figure 9 + Table 1: SoRa testbed", *fig == "9" || *table == 1, func() { fig9(o) })
-	run("Table 2: ACK accounting (fixed transfer)", *table == 2, func() { table2(o) })
-	run("Table 3: TCP ACK time breakdown", *table == 3, func() { table3(o) })
-	run("§4.2 cross-validation (ideal vs SoRa mode)", *xval, func() { xvalRun(o) })
-	run("Figure 10: multi-client 802.11n", *fig == "10", func() { fig10(o) })
-	run("Figure 11: SNR sweep with rate adaptation", *fig == "11", func() { fig11(o, *fig11Method) })
-	run("Figure 12: theory vs simulation", *fig == "12", func() { fig12(o) })
-	run("Loss resilience: loss × mode × adapter grid", *fig == "loss", func() { lossResilience(o) })
+	run("Figure 1(a): theoretical goodput, 802.11a", c.fig == "1a", func() { fig1a() })
+	run("Figure 1(b): theoretical goodput, 802.11n", c.fig == "1b", func() { fig1b() })
+	run("Figure 9 + Table 1: SoRa testbed", c.fig == "9" || c.table == 1, func() { fig9(o) })
+	run("Table 2: ACK accounting (fixed transfer)", c.table == 2, func() { table2(o) })
+	run("Table 3: TCP ACK time breakdown", c.table == 3, func() { table3(o) })
+	run("§4.2 cross-validation (ideal vs SoRa mode)", c.xval, func() { xvalRun(o) })
+	run("Figure 10: multi-client 802.11n", c.fig == "10", func() { fig10(o) })
+	run("Figure 11: SNR sweep with rate adaptation", c.fig == "11", func() { fig11(o, c.fig11Method) })
+	run("Figure 12: theory vs simulation", c.fig == "12", func() { fig12(o) })
+	run("Loss resilience: loss × mode × adapter grid", c.fig == "loss", func() { lossResilience(o) })
 
 	if !did {
 		fmt.Fprintln(os.Stderr, "nothing selected; see -h")
@@ -254,117 +170,192 @@ func main() {
 	exit(0)
 }
 
-// sweepConfig carries the -sweep flag set.
-type sweepConfig struct {
-	scenario                                string
-	modes, clients, loss, adapters, rates   string
-	topologies                              string
-	geometry                                string
-	format, saveBaseline, baseline, groupBy string
-	tol                                     string
-	progress                                bool
-	traceDir                                string // non-empty: one JSONL per grid point
-	airtime                                 bool
+// cli is hackbench's parsed command line.
+type cli struct {
+	fig                     string
+	table                   int
+	xval                    bool
+	measure, warmup         time.Duration
+	runs                    int
+	seed                    int64
+	workers                 int
+	sweep                   string
+	sweepModes              string
+	sweepClients, sweepLoss string
+	sweepAdapters           string
+	sweepRates              string
+	sweepTopologies         string
+	geometry                string
+	fig11Method, format     string
+	saveBaseline, baseline  string
+	groupBy, tol            string
+	progress                bool
+	trace                   bool
+	traceDir                string
+	airtime                 bool
+	cpuprofile, memprofile  string
+	serve, stateDir         string
+	leaseTTL                time.Duration
+	shardSize               int
+	workerURL, workerName   string
+	poll, maxPoll           time.Duration
+	retries                 int
+	retryWait, reqTimeout   time.Duration
+	storeGC, gcDryRun       bool
+	server                  string
+	submit, wait            bool
+	minCached               float64
+	status                  string
+	dryRun                  bool
 }
 
-// runSweep executes an ad-hoc campaign over a named scenario and
-// optionally persists/compares its aggregated statistics. The int is
-// the process exit code: 0 clean, 1 when a baseline comparison found
-// regressions.
-func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
-	switch sw.format {
-	case "text", "csv", "json":
-	default:
-		return 0, fmt.Errorf("unknown format %q (want text, csv, or json)", sw.format)
-	}
-	base, ok := tcphack.LookupScenario(sw.scenario)
-	if !ok {
-		return 0, fmt.Errorf("unknown scenario %q; hacksim -list shows the registry", sw.scenario)
-	}
-	axes := tcphack.CampaignAxes{Seeds: tcphack.CampaignSeeds(o.Seed, o.Runs)}
-	if sw.modes != "" {
-		for _, s := range strings.Split(sw.modes, ",") {
-			m, err := tcphack.ParseMode(strings.TrimSpace(s))
-			if err != nil {
-				return 0, err
-			}
-			axes.Modes = append(axes.Modes, m)
-		}
-	}
-	if sw.clients != "" {
-		for _, s := range strings.Split(sw.clients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return 0, fmt.Errorf("bad client count %q", s)
-			}
-			axes.Clients = append(axes.Clients, n)
-		}
-	}
-	if sw.loss != "" {
-		for _, s := range strings.Split(sw.loss, ",") {
-			p, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad loss probability %q", s)
-			}
-			axes.Loss = append(axes.Loss, p)
-		}
-	}
-	if sw.adapters != "" {
-		for _, s := range strings.Split(sw.adapters, ",") {
-			a := strings.TrimSpace(s)
-			if err := tcphack.ParseRateAdapter(a); err != nil {
-				return 0, err
-			}
-			axes.Adapters = append(axes.Adapters, a)
-		}
-	}
-	if sw.rates != "" {
-		for _, s := range strings.Split(sw.rates, ",") {
-			r, err := tcphack.ParseNamedRate(strings.TrimSpace(s))
-			if err != nil {
-				return 0, err
-			}
-			axes.Rates = append(axes.Rates, r)
-		}
-	}
-	if sw.topologies != "" {
-		for _, s := range strings.Split(sw.topologies, ",") {
-			name := strings.TrimSpace(s)
-			if _, ok := tcphack.TopologyOption(name); !ok {
-				return 0, fmt.Errorf("unknown topology %q (want one of %v)",
-					name, tcphack.TopologyNames())
-			}
-			axes.Topologies = append(axes.Topologies, name)
-		}
-	}
-	switch sw.geometry {
-	case "":
-	case "pathloss":
-		tcphack.WithPathLoss()(&base)
-	default:
-		return 0, fmt.Errorf("unknown geometry %q (want pathloss)", sw.geometry)
-	}
+// defineFlags registers hackbench's flags on fs, bound to the returned
+// cli.
+func defineFlags(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	fs.StringVar(&c.fig, "fig", "", "figure to regenerate: 1a, 1b, 9, 10, 11, 12, loss (empty = all)")
+	fs.IntVar(&c.table, "table", 0, "table to regenerate: 1, 2, 3 (0 = all)")
+	fs.BoolVar(&c.xval, "xval", false, "run only the §4.2 cross-validation")
+	fs.DurationVar(&c.measure, "measure", 3*time.Second, "steady-state measurement window (simulated)")
+	fs.DurationVar(&c.warmup, "warmup", 2*time.Second, "warmup before measurement (simulated)")
+	fs.IntVar(&c.runs, "runs", 1, "repetitions to average (paper used 5)")
+	fs.Int64Var(&c.seed, "seed", 1, "base RNG seed")
+	fs.IntVar(&c.workers, "workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&c.sweep, "sweep", "", "run an ad-hoc campaign over this named scenario (see hacksim -list)")
+	fs.StringVar(&c.sweepModes, "sweep-modes", "", "comma-separated HACK modes to sweep (off,more-data,opportunistic,timer)")
+	fs.StringVar(&c.sweepClients, "sweep-clients", "", "comma-separated client counts to sweep")
+	fs.StringVar(&c.sweepLoss, "sweep-loss", "", "comma-separated uniform loss probabilities to sweep")
+	fs.StringVar(&c.sweepAdapters, "sweep-adapters", "", "comma-separated rate adapters to sweep (fixed, fixed:<rate>, ideal, argmax, minstrel)")
+	fs.StringVar(&c.sweepRates, "sweep-rates", "", "comma-separated PHY rates to sweep (a6..a54, mcs0..mcs7, mcs<i>x<streams>)")
+	fs.StringVar(&c.sweepTopologies, "sweep-topologies", "", "comma-separated registered topology names to sweep (default, degenerate, 2bss-hidden, 2bss-overlap, grid-3x3-dense)")
+	fs.StringVar(&c.geometry, "geometry", "", "pathloss: run the sweep on the default path-loss geometry (unset: the scenario's own)")
+	fs.StringVar(&c.fig11Method, "fig11-method", "ideal", "Figure 11 method: ideal, minstrel (one simulation per SNR), or envelope (legacy fixed-rate sweep)")
+	fs.StringVar(&c.format, "format", "text", "sweep output: text, csv, json")
+	fs.StringVar(&c.saveBaseline, "save-baseline", "", "aggregate the sweep and persist it as a baseline JSON file")
+	fs.StringVar(&c.baseline, "baseline", "", "compare the sweep against this baseline file; exit 1 on regression")
+	fs.StringVar(&c.groupBy, "groupby", "", "comma-separated axis columns to group the aggregation by (default: swept axes minus seed; with -baseline: the baseline's grouping)")
+	fs.StringVar(&c.tol, "tol", "", "per-metric relative-tolerance overrides for -baseline, e.g. aggregate_mbps=0.10,retries=0.25")
+	fs.BoolVar(&c.progress, "progress", false, "report sweep progress (rows completed / total) on stderr")
+	fs.BoolVar(&c.trace, "trace", false, "with -sweep: write one JSONL flight-recorder trace per grid point (see -trace-dir)")
+	fs.StringVar(&c.traceDir, "trace-dir", "traces", "with -trace: directory for the per-point JSONL traces")
+	fs.BoolVar(&c.airtime, "airtime", false, "with -sweep: attach the airtime ledger and emit airtime_*_pct / airtime_efficiency extra columns")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
+	fs.StringVar(&c.serve, "serve", "", "run the campaign daemon on this address (e.g. 127.0.0.1:8077)")
+	fs.StringVar(&c.stateDir, "state", "", "with -serve: jobs + memoization directory (empty = in-memory); with -dry-run: the store to probe for expected hits")
+	fs.DurationVar(&c.leaseTTL, "lease", 30*time.Second, "with -serve: shard lease TTL before an unheartbeated shard is re-queued")
+	fs.IntVar(&c.shardSize, "shard", 0, "grid points per distributed shard (0 = server default)")
+	fs.StringVar(&c.workerURL, "worker", "", "run a shard worker against this daemon URL")
+	fs.StringVar(&c.workerName, "worker-name", "", "with -worker: worker name for leases and liveness (default host-pid)")
+	fs.DurationVar(&c.poll, "poll", 0, "with -worker: idle poll base interval, doubling with jitter up to -max-poll when the queue stays empty (0 = 200ms default)")
+	fs.DurationVar(&c.maxPoll, "max-poll", 0, "with -worker: idle poll backoff ceiling (0 = 5s default)")
+	fs.IntVar(&c.retries, "retries", 0, "daemon API attempts per request before giving up, for -worker/-submit/-status (0 = 5 default)")
+	fs.DurationVar(&c.retryWait, "retry-wait", 0, "base backoff before the first daemon API retry, doubling with jitter (0 = 100ms default)")
+	fs.DurationVar(&c.reqTimeout, "req-timeout", 0, "per-attempt daemon API request timeout (0 = 15s default)")
+	fs.BoolVar(&c.storeGC, "store-gc", false, "purge -state's memoization cache of entries from other code versions and quarantined corrupt files")
+	fs.BoolVar(&c.gcDryRun, "gc-dry-run", false, "with -store-gc: count stale entries without deleting anything")
+	fs.StringVar(&c.server, "server", "", "daemon URL for -submit and -status")
+	fs.BoolVar(&c.submit, "submit", false, "submit the -sweep campaign to -server instead of running it locally")
+	fs.BoolVar(&c.wait, "wait", false, "with -submit: wait for completion and emit the merged rows per -format")
+	fs.Float64Var(&c.minCached, "min-cached", 0, "with -submit -wait: exit 1 unless at least this fraction of grid points was served from the memoization store")
+	fs.StringVar(&c.status, "status", "", "with -server: print a job's status as JSON ('all' lists every job, 'metrics' prints the daemon snapshot)")
+	fs.BoolVar(&c.dryRun, "dry-run", false, "with -sweep: print the planned grid with per-point fingerprints and expected cache hits, without simulating")
+	return c
+}
 
-	workload, err := tcphack.NamedCampaignWorkload(tcphack.ScenarioWorkload(sw.scenario))
+// validate rejects flag values and combinations no mode can run. The
+// sweep's own vocabulary (scenario, modes, rates, …) is checked where
+// the campaign is materialized, by sweepSpec.
+func (c *cli) validate() error {
+	switch c.fig11Method {
+	case "ideal", "minstrel", "envelope":
+	default:
+		return fmt.Errorf("unknown -fig11-method %q (want ideal, minstrel, or envelope)", c.fig11Method)
+	}
+	if c.format != "text" && c.format != "csv" && c.format != "json" {
+		return fmt.Errorf("unknown -format %q (want text, csv, or json)", c.format)
+	}
+	if c.runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1", c.runs)
+	}
+	if c.geometry != "" && c.geometry != "pathloss" {
+		return fmt.Errorf("unknown -geometry %q (want pathloss)", c.geometry)
+	}
+	// A wire spec is a registry scenario plus named axes: it carries no
+	// tracer hooks (shard results must stay memoizable) and no edits to
+	// the base configuration (topologies travel by name instead).
+	if (c.submit || c.dryRun) && (c.geometry != "" || c.trace || c.airtime) {
+		return fmt.Errorf("-geometry, -trace and -airtime apply to local sweeps only, not -submit or -dry-run; sweep a topology instead of -geometry")
+	}
+	return nil
+}
+
+// sweepSpec converts the -sweep flags into a wire-form campaign and
+// materializes it. Local sweeps, -submit and -dry-run all build their
+// campaign here, so they accept and reject exactly the same input.
+func (c *cli) sweepSpec() (tcphack.WireCampaign, tcphack.Campaign, error) {
+	w := tcphack.WireCampaign{
+		Scenario: c.sweep,
+		Axes: tcphack.WireCampaignAxes{
+			Modes:      splitCSV(c.sweepModes),
+			Rates:      splitCSV(c.sweepRates),
+			Adapters:   splitCSV(c.sweepAdapters),
+			Topologies: splitCSV(c.sweepTopologies),
+			Seeds:      tcphack.CampaignSeeds(c.seed, c.runs),
+		},
+		Warmup:  tcphack.Duration(c.warmup),
+		Measure: tcphack.Duration(c.measure),
+	}
+	for _, s := range splitCSV(c.sweepClients) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return w, tcphack.Campaign{}, fmt.Errorf("bad client count %q", s)
+		}
+		w.Axes.Clients = append(w.Axes.Clients, n)
+	}
+	for _, s := range splitCSV(c.sweepLoss) {
+		p, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return w, tcphack.Campaign{}, fmt.Errorf("bad loss probability %q", s)
+		}
+		w.Axes.Loss = append(w.Axes.Loss, p)
+	}
+	spec, err := w.Spec()
+	return w, spec, err
+}
+
+// splitCSV splits a comma-separated flag into trimmed fields ("" → no
+// fields).
+func splitCSV(s string) []string {
+	if s == "" {
+		return nil
+	}
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		out = append(out, strings.TrimSpace(f))
+	}
+	return out
+}
+
+// localSweepSpec is sweepSpec plus what only an in-process run can
+// carry: the worker pool, the airtime ledger, per-point traces,
+// progress reporting, and -geometry's edit of the base scenario.
+func (c *cli) localSweepSpec() (tcphack.Campaign, error) {
+	_, spec, err := c.sweepSpec()
 	if err != nil {
-		return 0, err
+		return spec, err
 	}
-	spec := tcphack.Campaign{
-		Name:     sw.scenario,
-		Base:     base,
-		Axes:     axes,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Workers:  o.Workers,
-		Workload: workload,
-		Airtime:  sw.airtime,
+	spec.Workers = c.workers
+	spec.Airtime = c.airtime
+	if c.geometry == "pathloss" {
+		tcphack.WithPathLoss()(&spec.Base)
 	}
-	if sw.traceDir != "" {
-		if err := os.MkdirAll(sw.traceDir, 0o755); err != nil {
-			return 0, err
+	if c.trace {
+		if err := os.MkdirAll(c.traceDir, 0o755); err != nil {
+			return spec, err
 		}
 		spec.Trace = func(pt tcphack.CampaignPoint) tcphack.Tracer {
-			f, err := os.Create(filepath.Join(sw.traceDir, pointTraceName(pt)))
+			f, err := os.Create(filepath.Join(c.traceDir, pointTraceName(pt)))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 				return nil
@@ -372,7 +363,7 @@ func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
 			return tcphack.NewTraceWriter(f)
 		}
 	}
-	if sw.progress {
+	if c.progress {
 		// Progress calls arrive serialized, once per completed row; on
 		// a large grid a per-row stderr write would dominate. Batch to
 		// every ≥1% of the grid (capped at 1000 rows), always printing
@@ -396,7 +387,19 @@ func runSweep(sw sweepConfig, o tcphack.ExperimentOptions) (int, error) {
 			}
 		}
 	}
-	return emitAndCompare(sw, tcphack.RunCampaign(spec))
+	return spec, nil
+}
+
+// runSweep executes an ad-hoc campaign over a named scenario and
+// optionally persists/compares its aggregated statistics. The int is
+// the process exit code: 0 clean, 1 when a baseline comparison found
+// regressions.
+func runSweep(c *cli) (int, error) {
+	spec, err := c.localSweepSpec()
+	if err != nil {
+		return 0, err
+	}
+	return emitAndCompare(c, tcphack.RunCampaign(spec))
 }
 
 // pointTraceName derives a grid point's trace filename from its axis
@@ -437,11 +440,11 @@ func groupInt(n int) string {
 	return b.String()
 }
 
-// emitAndCompare writes a sweep's rows in sw.format and runs the
+// emitAndCompare writes a sweep's rows in c.format and runs the
 // baseline workflow when requested — shared by local sweeps and
 // distributed -submit -wait so both emit byte-identical output.
-func emitAndCompare(sw sweepConfig, results tcphack.CampaignResults) (int, error) {
-	switch sw.format {
+func emitAndCompare(c *cli, results tcphack.CampaignResults) (int, error) {
+	switch c.format {
 	case "json":
 		if err := results.WriteJSON(os.Stdout); err != nil {
 			return 0, err
@@ -464,21 +467,21 @@ func emitAndCompare(sw sweepConfig, results tcphack.CampaignResults) (int, error
 		}
 	}
 
-	if sw.saveBaseline == "" && sw.baseline == "" {
+	if c.saveBaseline == "" && c.baseline == "" {
 		return 0, nil
 	}
-	return baselineWorkflow(sw, results)
+	return baselineWorkflow(c, results)
 }
 
 // baselineWorkflow aggregates the sweep and persists and/or compares
 // it.
-func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
+func baselineWorkflow(c *cli, rs tcphack.CampaignResults) (int, error) {
 	table := tcphack.NewResultsTable(rs)
 
 	var stored *tcphack.Baseline
-	if sw.baseline != "" {
+	if c.baseline != "" {
 		var err error
-		stored, err = tcphack.LoadBaselineFile(sw.baseline)
+		stored, err = tcphack.LoadBaselineFile(c.baseline)
 		if err != nil {
 			return 0, err
 		}
@@ -489,9 +492,9 @@ func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
 	// comparable); otherwise the swept axes minus the seed.
 	var groupBy []string
 	switch {
-	case sw.groupBy != "":
-		for _, c := range strings.Split(sw.groupBy, ",") {
-			groupBy = append(groupBy, strings.TrimSpace(c))
+	case c.groupBy != "":
+		for _, col := range strings.Split(c.groupBy, ",") {
+			groupBy = append(groupBy, strings.TrimSpace(col))
 		}
 	case stored != nil:
 		groupBy = stored.GroupBy
@@ -503,18 +506,18 @@ func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
 		return 0, err
 	}
 
-	if sw.saveBaseline != "" {
-		if err := tcphack.SaveBaselineFile(sw.saveBaseline, tcphack.NewBaseline(agg)); err != nil {
+	if c.saveBaseline != "" {
+		if err := tcphack.SaveBaselineFile(c.saveBaseline, tcphack.NewBaseline(agg)); err != nil {
 			return 0, err
 		}
 		fmt.Fprintf(os.Stderr, "baseline saved to %s (%d group(s), grouped by %s)\n",
-			sw.saveBaseline, len(agg.Groups), strings.Join(groupBy, ","))
+			c.saveBaseline, len(agg.Groups), strings.Join(groupBy, ","))
 	}
 	if stored == nil {
 		return 0, nil
 	}
 
-	tolerances, err := parseTolerances(sw.tol)
+	tolerances, err := parseTolerances(c.tol)
 	if err != nil {
 		return 0, err
 	}
@@ -525,7 +528,7 @@ func baselineWorkflow(sw sweepConfig, rs tcphack.CampaignResults) (int, error) {
 	// Text mode owns stdout; with machine-readable formats the rows
 	// own stdout and the report must not corrupt them.
 	report := os.Stdout
-	if sw.format != "text" {
+	if c.format != "text" {
 		report = os.Stderr
 	}
 	cmp.Report(report)
@@ -657,15 +660,12 @@ func fig10(o tcphack.ExperimentOptions) {
 }
 
 func fig11(o tcphack.ExperimentOptions, method string) {
+	// method is ideal, minstrel or envelope; cli.validate checked it.
 	var res tcphack.Fig11Result
-	switch method {
-	case "ideal", "minstrel":
-		res = tcphack.Fig11Adaptive(o, nil, nil, method)
-	case "envelope":
+	if method == "envelope" {
 		res = tcphack.Fig11Envelope(o, nil, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig11-method %q (want ideal, minstrel, or envelope)\n", method)
-		os.Exit(2)
+	} else {
+		res = tcphack.Fig11Adaptive(o, nil, nil, method)
 	}
 	fmt.Printf("method: %s\n", res.Method)
 	snrs := make([]float64, 0, len(res.EnvelopeTCP))

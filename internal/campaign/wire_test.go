@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -59,8 +60,9 @@ func TestWireSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireSpecValidation: every vocabulary error must surface at
-// materialization, not as a worker crash.
+// TestWireSpecValidation: every vocabulary and range error must
+// surface at materialization, not as a worker crash or a row. The
+// boundary values just inside each range must still materialize.
 func TestWireSpecValidation(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -71,6 +73,17 @@ func TestWireSpecValidation(t *testing.T) {
 		{"bad rate", func(w *WireSpec) { w.Axes.Rates = []string{"z99"} }},
 		{"bad adapter", func(w *WireSpec) { w.Axes.Adapters = []string{"telepathy"} }},
 		{"bad workload", func(w *WireSpec) { w.Workload = "scatter" }},
+		{"bad topology", func(w *WireSpec) { w.Axes.Topologies = []string{"moon-base"} }},
+		{"zero clients", func(w *WireSpec) { w.Axes.Clients = []int{1, 0} }},
+		{"negative clients", func(w *WireSpec) { w.Axes.Clients = []int{-1} }},
+		{"negative loss", func(w *WireSpec) { w.Axes.Loss = []float64{-0.01} }},
+		{"loss above one", func(w *WireSpec) { w.Axes.Loss = []float64{0, 1.5} }},
+		{"NaN loss", func(w *WireSpec) { w.Axes.Loss = []float64{math.NaN()} }},
+		{"NaN SNR", func(w *WireSpec) { w.Axes.SNRsDB = []float64{math.NaN()} }},
+		{"infinite SNR", func(w *WireSpec) { w.Axes.SNRsDB = []float64{20, math.Inf(1)} }},
+		{"negative warmup", func(w *WireSpec) { w.Warmup = -1 }},
+		{"negative measure", func(w *WireSpec) { w.Measure = -sim.Millisecond }},
+		{"negative duration", func(w *WireSpec) { w.Duration = -sim.Second }},
 	}
 	for _, tc := range cases {
 		w := testWireSpec()
@@ -78,6 +91,14 @@ func TestWireSpecValidation(t *testing.T) {
 		if _, err := w.Spec(); err == nil {
 			t.Errorf("%s: Spec() accepted %+v", tc.name, w)
 		}
+	}
+
+	w := testWireSpec()
+	w.Axes.Clients = []int{1}
+	w.Axes.Loss = []float64{0, 1}
+	w.Axes.SNRsDB = []float64{-5, 0, 40}
+	if _, err := w.Spec(); err != nil {
+		t.Errorf("in-range boundary values rejected: %v", err)
 	}
 }
 

@@ -1,8 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -269,5 +274,44 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, ok, err := c.Lease("w2"); err != nil || ok {
 		t.Errorf("empty queue lease: ok=%v err=%v (want 204 → ok=false)", ok, err)
+	}
+}
+
+// TestOutOfRangeSubmitRejected: a spec whose axes are out of range
+// (here clients=-1) must be refused with 400 at POST /jobs, leaving no
+// job and no memoized row behind — bad input never becomes rows.
+func TestOutOfRangeSubmitRejected(t *testing.T) {
+	state := t.TempDir()
+	s, err := NewServer(ServerConfig{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startDaemon(t, s)
+
+	w := testWire()
+	w.Axes.Clients = []int{-1}
+	body, err := json.Marshal(map[string]any{"spec": w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs with clients=-1: status %d, want 400", resp.StatusCode)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected spec left %d job(s): %+v", len(jobs), jobs)
+	}
+	for _, sub := range []string{"jobs", "cache"} {
+		entries, err := os.ReadDir(filepath.Join(state, sub))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("rejected spec left %d entr(ies) in %s/", len(entries), sub)
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"tcphack/internal/scenario"
 	"tcphack/internal/sim"
+	"tcphack/internal/trace"
 )
 
 // observabilityCampaign is the grid both determinism tests run: both
@@ -44,10 +46,10 @@ func TestTracerDeterminismNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var recorders []*TraceRecorder
+	var recorders []*trace.Recorder
 	spec := observabilityCampaign()
 	spec.Trace = func(pt CampaignPoint) Tracer {
-		r := NewTraceRecorder(0)
+		r := trace.NewRecorder(0)
 		recorders = append(recorders, r)
 		return r
 	}
@@ -119,7 +121,7 @@ func TestAirtimeConservation(t *testing.T) {
 	for _, loss := range []float64{0, 0.05} {
 		ledger := NewAirtimeLedger()
 		opts := []ScenarioOption{
-			With80211n(), WithMode(ModeMoreData), WithClients(2), WithTracer(ledger),
+			With80211n(), WithMode(ModeMoreData), WithClients(2), scenario.WithTracer(ledger),
 		}
 		if loss > 0 {
 			opts = append(opts, WithUniformLoss(loss))

@@ -5,12 +5,12 @@
 // link-layer acknowledgments, eliminating the medium acquisitions that
 // TCP ACK packets otherwise require.
 //
-// The public API has two pillars:
+// The public API is what this repo's commands and examples use:
 //
 // Scenario builder. A scenario is a NetworkConfig composed from
-// functional options — a preset (With80211n, WithSoRa) refined by
-// per-axis options — with a registry of named scenarios
-// (Scenarios, LookupScenario) for CLIs and tests:
+// functional options — a preset (With80211n) refined by per-axis
+// options — with a registry of named scenarios (Scenarios,
+// LookupScenario) for CLIs:
 //
 //	cfg := tcphack.NewScenario(tcphack.With80211n(),
 //		tcphack.WithMode(tcphack.ModeMoreData), tcphack.WithClients(4))
@@ -20,9 +20,7 @@
 // RunCampaign executes the grid on a bounded worker pool, one
 // deterministic simulation per point, returning structured result rows
 // (goodput, airtime, retries) with JSON/CSV emitters. Parallel and
-// serial runs produce row-for-row identical results;
-// RunCampaignContext adds cancellation and a progress callback for
-// large grids:
+// serial runs produce row-for-row identical results:
 //
 //	results := tcphack.RunCampaign(tcphack.Campaign{
 //		Name: "modes-vs-clients",
@@ -35,34 +33,29 @@
 //	})
 //	results.WriteCSV(os.Stdout)
 //
-// Results layer. On top of the raw rows sits internal/results, the
-// statistical subsystem the paper's evaluation methodology demands:
-// group-by aggregation (count/mean/stddev/min/max/95% CI per metric),
-// persisted baselines, and regression detection:
-//
-//	table := tcphack.NewResultsTable(results)
-//	agg, _ := table.Aggregate("mode", "clients")
-//	_ = tcphack.SaveBaselineFile("baseline.json", tcphack.NewBaseline(agg))
-//	// ... later, after a fresh run of the same sweep:
-//	base, _ := tcphack.LoadBaselineFile("baseline.json")
-//	cmp, _ := tcphack.CompareBaseline(agg, base, nil)
-//	cmp.Report(os.Stdout) // cmp.HasRegressions() gates CI
-//
-// Underneath sit the subsystems the options parameterize:
+// Around those sit the paper's figure and table runners (Fig9, Fig10,
+// …), flight-recorder tracing and the airtime ledger, baseline
+// persistence and regression comparison (NewResultsTable,
+// CompareBaseline), and the campaign service (DistServer, DistWorker,
+// DistClient) behind hackbench's -serve, -worker and -submit. The
+// full APIs of those subsystems live in the internal packages:
 //
 //   - a deterministic discrete-event 802.11a/n simulator
 //     (internal/sim, internal/phy, internal/channel, internal/mac),
 //     including per-station rate adaptation (WithRateAdapter: a fixed
-//     rate, an ideal-SNR oracle, or a Minstrel-style learner);
+//     rate, an ideal-SNR oracle, or a Minstrel-style learner) and the
+//     spatial PHY (geometry, topologies, multi-BSS layouts);
 //   - a standards-shaped TCP stack (internal/tcp) and real IPv4/TCP
 //     wire formats (internal/packet);
 //   - ROHC-style TCP ACK compression (internal/rohc);
 //   - the HACK driver itself (internal/hack) with the MORE DATA,
 //     opportunistic, and timer holding policies;
 //   - network composition (internal/node), closed-form capacity models
-//     (internal/analytical), and campaign-based runners for every
-//     table and figure in the paper's evaluation (internal/experiments,
-//     internal/campaign, internal/scenario).
+//     (internal/analytical), campaign-based runners for every table
+//     and figure in the paper's evaluation (internal/experiments,
+//     internal/campaign, internal/scenario), the statistics layer
+//     (internal/results), tracing (internal/trace), and the
+//     distributed sweep service (internal/dist).
 //
 // Single simulations remain a three-liner when a campaign is overkill:
 //
@@ -75,12 +68,9 @@
 package tcphack
 
 import (
-	"context"
 	"io"
 
-	"tcphack/internal/analytical"
 	"tcphack/internal/campaign"
-	"tcphack/internal/channel"
 	"tcphack/internal/experiments"
 	"tcphack/internal/hack"
 	"tcphack/internal/mac"
@@ -98,23 +88,17 @@ type (
 	NetworkConfig = node.Config
 	// Network is an assembled simulation.
 	Network = node.Network
-	// Flow is one TCP transfer with measurement hooks.
-	Flow = node.Flow
 	// Mode selects the HACK ACK-holding policy.
 	Mode = hack.Mode
 	// Rate is an 802.11 PHY rate.
 	Rate = phy.Rate
 	// Duration is simulated time in nanoseconds.
 	Duration = sim.Duration
-	// Pos is a 2-D position in metres (client topology).
-	Pos = channel.Pos
 	// ExperimentOptions scales the paper-reproduction runners.
 	ExperimentOptions = experiments.Options
 	// Fig11Result carries Figure 11's per-SNR goodput curves and the
 	// method that produced them (rate adapter or fixed-rate envelope).
 	Fig11Result = experiments.Fig11Result
-	// AnalyticalParams parameterizes the closed-form capacity models.
-	AnalyticalParams = analytical.Params
 )
 
 // Scenario builder.
@@ -134,9 +118,6 @@ var (
 	// With80211n applies the paper's §4.3 preset: 150 Mbps 802.11n,
 	// A-MPDU aggregation, 24 Mbps LL ACKs, wired backhaul.
 	With80211n = scenario.With80211n
-	// WithSoRa applies the paper's §4.1 testbed preset: 802.11a @54,
-	// AP-resident sender, SoRa's late link-layer ACKs.
-	WithSoRa = scenario.WithSoRa
 	// WithMode selects the HACK ACK-holding policy.
 	WithMode = scenario.WithMode
 	// WithClients sets the number of WiFi clients.
@@ -146,36 +127,16 @@ var (
 	// WithRate sets the PHY data rate (LL ACK rate follows the 802.11
 	// control-response rules).
 	WithRate = scenario.WithRate
-	// WithAckRate pins the link-layer ACK rate.
-	WithAckRate = scenario.WithAckRate
 	// WithRateAdapter selects per-station rate adaptation:
 	// "fixed", "fixed:<rate>", "ideal", or "minstrel".
 	WithRateAdapter = scenario.WithRateAdapter
 	// WithUniformLoss applies a uniform per-frame loss probability.
 	WithUniformLoss = scenario.WithUniformLoss
-	// WithBurstyLoss layers a Gilbert-Elliott bursty loss process onto
-	// the channel (forked per network, campaign-safe).
-	WithBurstyLoss = scenario.WithBurstyLoss
 	// WithSNR fixes the channel SNR in dB via the physical error model.
 	WithSNR = scenario.WithSNR
-	// WithTopology places client i at the returned position.
-	WithTopology = scenario.WithTopology
-	// WithGeometry installs a spatial PHY configuration on the medium
-	// (per-pair path loss, per-receiver carrier sense, SINR capture);
-	// nil restores the default single collision domain.
-	WithGeometry = scenario.WithGeometry
 	// WithPathLoss switches to the spatial PHY with the default
 	// geometry (≈51.5 m sense/delivery range).
 	WithPathLoss = scenario.WithPathLoss
-	// WithCSThreshold sets the spatial PHY's energy-detect
-	// carrier-sense threshold in dBm.
-	WithCSThreshold = scenario.WithCSThreshold
-	// WithPositions pins the AP and every client to explicit
-	// coordinates (metres).
-	WithPositions = scenario.WithPositions
-	// WithBSSLayout replaces the single-BSS star with overlapping BSSs
-	// contending on one medium.
-	WithBSSLayout = scenario.WithBSSLayout
 	// WithWire sets the server—AP wired backhaul.
 	WithWire = scenario.WithWire
 	// WithConfig overlays arbitrary NetworkConfig edits.
@@ -184,9 +145,6 @@ var (
 
 // Scenarios lists the named scenarios in the registry, sorted by name.
 func Scenarios() []ScenarioEntry { return scenario.All() }
-
-// ScenarioNames lists registered scenario names, sorted.
-func ScenarioNames() []string { return scenario.Names() }
 
 // LookupScenario builds a named scenario's NetworkConfig, applying
 // extra options on top (e.g. WithClients, WithSeed).
@@ -198,49 +156,11 @@ func LookupScenario(name string, extra ...ScenarioOption) (NetworkConfig, bool) 
 	return e.Config(extra...), true
 }
 
-// RegisterScenario names a scenario built from opts so CLIs and tests
-// can look it up; registering an existing name replaces it.
-func RegisterScenario(name, desc string, opts ...ScenarioOption) {
-	scenario.Register(name, desc, opts...)
-}
-
 // ScenarioWorkload returns the named scenario's traffic-workload kind
 // ("upload", "mixed"; "" for the default download workload or an
 // unknown name) — feed it to NamedCampaignWorkload to start the right
 // flows.
 func ScenarioWorkload(name string) string { return scenario.WorkloadOf(name) }
-
-// Spatial PHY configuration (see the channel package).
-type (
-	// Geometry configures the spatial PHY: log-distance path loss,
-	// per-receiver carrier sensing, SINR capture.
-	Geometry = channel.Geometry
-	// BSSSpec declares one BSS of a multi-BSS layout (WithBSSLayout).
-	BSSSpec = node.BSSSpec
-)
-
-// DefaultGeometry returns the paper's indoor spatial PHY constants
-// with an 802.11-style -82 dBm carrier-sense threshold.
-func DefaultGeometry() *Geometry { return channel.DefaultGeometry() }
-
-// DegenerateGeometry returns the single-collision-domain geometry a nil
-// Geometry means: every radio senses and receives every transmission
-// and any overlap collides, regardless of positions.
-func DegenerateGeometry() *Geometry { return channel.DegenerateGeometry() }
-
-// TopologyNames lists registered topology names, sorted — the
-// vocabulary of the campaign topology axis.
-func TopologyNames() []string { return scenario.TopologyNames() }
-
-// TopologyOption returns a single scenario option applying the named
-// topology, and whether the name is registered.
-func TopologyOption(name string) (ScenarioOption, bool) { return scenario.TopologyOption(name) }
-
-// RegisterTopology names a topology built from opts for the campaign
-// topology axis; registering an existing name replaces it.
-func RegisterTopology(name, desc string, opts ...ScenarioOption) {
-	scenario.RegisterTopology(name, desc, opts...)
-}
 
 // RateStats is one rate's learned state in a Minstrel adapter
 // (see Network.APMinstrelStats / Network.ClientMinstrelStats and
@@ -267,14 +187,6 @@ type (
 // point in deterministic order, independent of worker count.
 func RunCampaign(c Campaign) CampaignResults { return campaign.Run(c) }
 
-// RunCampaignContext is RunCampaign with cancellation: when ctx is
-// cancelled no new grid points start, in-flight simulations finish,
-// and the call returns the partial results along with ctx's error.
-// The Campaign's Progress callback fires monotonically throughout.
-func RunCampaignContext(ctx context.Context, c Campaign) (CampaignResults, error) {
-	return campaign.RunContext(ctx, c)
-}
-
 // CampaignSeeds returns n consecutive seeds starting at base — the
 // "average over seeded repetitions" axis.
 func CampaignSeeds(base int64, n int) []int64 { return campaign.Seeds(base, n) }
@@ -292,35 +204,21 @@ type (
 	// (or re-loaded from the CSV/JSON emitters' output), ready for
 	// group-by aggregation.
 	ResultsTable = results.Table
-	// ResultsAgg is a grouped aggregation of a ResultsTable.
-	ResultsAgg = results.Agg
-	// ResultsGroup is one aggregation cell (a group key and a
-	// statistical summary per metric).
-	ResultsGroup = results.Group
-	// ResultsStat summarizes one metric within one group.
-	ResultsStat = results.Stat
 	// Baseline is a persisted aggregation used as a regression
 	// reference.
 	Baseline = results.Baseline
 	// Tolerance bounds one metric's allowed movement in its worse
 	// direction before CompareBaseline flags a regression.
 	Tolerance = results.Tolerance
-	// Comparison is the outcome of CompareBaseline.
-	Comparison = results.Comparison
 )
 
 // NewResultsTable builds a ResultsTable from campaign rows.
 func NewResultsTable(rs CampaignResults) *ResultsTable { return results.FromResults(rs) }
 
-// Results-layer helpers, re-exported for CLIs and scripts: CSV/JSON
-// table loaders, the canonical numeric axis-value formatter, the
-// metric/axis schema, baseline persistence, the default per-metric
+// Results-layer helpers for hackbench's baseline workflow: the
+// metric schema, baseline persistence, the default per-metric
 // tolerances, and the comparison engine.
 var (
-	ReadResultsCSV       = results.ReadCSV
-	ReadResultsJSON      = results.ReadJSON
-	ResultsNum           = results.Num
-	ResultsAxisColumns   = results.AxisColumns
 	ResultsScalarMetrics = results.ScalarMetrics
 	NewBaseline          = results.NewBaseline
 	SaveBaselineFile     = results.SaveBaselineFile
@@ -368,28 +266,12 @@ var Rate54Mbps = phy.RateA54
 // paper's 150 Mbps configuration.
 func HTRate(mcs, streams int) Rate { return phy.HTRate(mcs, streams) }
 
-// ParseNamedRate resolves a PHY rate by its command-line name ("a6"
-// through "a54", "mcs0" through "mcs7", "mcs<i>x<streams>").
-func ParseNamedRate(s string) (Rate, error) { return phy.ParseRate(s) }
-
 // Regression directions for Tolerance.Worse: goodput-like metrics
 // regress downward, error counters upward.
 const (
 	LowerIsWorse  = results.LowerIsWorse
 	HigherIsWorse = results.HigherIsWorse
 )
-
-// Scenario80211n builds the paper's §4.3 simulation scenario — a thin
-// wrapper over NewScenario(With80211n(), ...).
-func Scenario80211n(mode Mode, clients int) NetworkConfig {
-	return NewScenario(With80211n(), WithMode(mode), WithClients(clients))
-}
-
-// ScenarioSoRa builds the paper's §4.1 testbed model — a thin wrapper
-// over NewScenario(WithSoRa(), ...).
-func ScenarioSoRa(mode Mode, clients int) NetworkConfig {
-	return NewScenario(WithSoRa(), WithMode(mode), WithClients(clients))
-}
 
 // Experiment runners (one per table/figure in the paper), each
 // executing its scenario grid as a parallel campaign.
@@ -411,15 +293,9 @@ var (
 	LossResilience = experiments.LossResilience
 )
 
-// LossResilienceRow is one cell of the loss-resilience grid.
-type LossResilienceRow = experiments.LossResilienceRow
-
-// AnalyticalDefaults returns the paper's capacity-model parameters.
-func AnalyticalDefaults() AnalyticalParams { return analytical.Defaults() }
-
 // Observability: flight-recorder tracing and the airtime ledger
-// (internal/trace). A Tracer attached via WithTracer (or
-// NetworkConfig.Tracer / Campaign.Trace) observes every layer of a
+// (internal/trace). A Tracer attached via NetworkConfig.Tracer (or
+// Campaign.Trace) observes every layer of a
 // simulation — PHY transmissions and collisions, MAC frame fates and
 // NAV, HACK driver state transitions, ROHC packet forms, TCP loss
 // events — without perturbing it: tracing is determinism-neutral by
@@ -430,13 +306,6 @@ type (
 	// never schedule events, consume simulation randomness, or mutate
 	// protocol state.
 	Tracer = trace.Tracer
-	// NopTracer is the explicit do-nothing Tracer (zero allocations).
-	NopTracer = trace.Nop
-	// TraceEvent is one probe event in the flight-recorder schema.
-	TraceEvent = trace.Event
-	// TraceRecorder is a bounded in-memory ring of the most recent
-	// trace events.
-	TraceRecorder = trace.Recorder
 	// TraceWriter streams trace events as JSONL to an io.Writer.
 	TraceWriter = trace.Writer
 	// AirtimeLedger is a Tracer that accounts every nanosecond of
@@ -447,27 +316,14 @@ type (
 	// AirtimeBuckets splits airtime into data / wifi-ACK / BAR /
 	// TCP-ACK / retry components.
 	AirtimeBuckets = trace.Buckets
-	// StationAirtime is one station's share of an AirtimeReport.
-	StationAirtime = trace.StationAirtime
 )
-
-// WithTracer attaches a Tracer to every layer of the scenario's
-// network (PHY/channel, MAC, HACK driver, ROHC, TCP).
-var WithTracer = scenario.WithTracer
-
-// NewTraceRecorder returns a flight recorder retaining the most
-// recent capacity events (DefaultTraceRecorderCap when capacity <= 0).
-func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// DefaultTraceRecorderCap is the default flight-recorder ring size.
-const DefaultTraceRecorderCap = trace.DefaultRecorderCap
 
 // NewTraceWriter returns a Tracer that streams every event to w as
 // JSONL; call Close to flush (and close w if it is an io.Closer).
 func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
 // NewAirtimeLedger returns an airtime-accounting Tracer; attach it
-// with WithTracer and call Snapshot at the end of the run.
+// as NetworkConfig.Tracer and call Snapshot at the end of the run.
 func NewAirtimeLedger() *AirtimeLedger { return trace.NewAirtimeLedger() }
 
 // TraceMulti fans probe events out to several tracers (nils are
