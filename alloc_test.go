@@ -1,27 +1,54 @@
 // Allocation-budget guards for the simulator's steady-state hot path.
-// The PR 4 optimization pass (pooled timers, persistent Post
-// callbacks, alloc-free header marshalling) brought the full 802.11n
-// HACK scenario below two heap allocations per scheduler event, and
-// the PR 5 MPDU/DataFrame pooling (released back to per-station
-// freelists when their exchange resolves) took it below 1.5; these
-// tests keep it there. A regression to per-event timer, closure, or
-// per-MPDU wrapper allocation adds ≈0.5-2 allocs/event and fails the
-// budget.
+// Pooled timers, persistent Post callbacks and alloc-free header
+// marshalling brought the full 802.11n HACK scenario below two heap
+// allocations per scheduler event; MPDU/DataFrame freelists took it
+// below 1.5; the per-network packet pool plus caller-owned ROHC and
+// HACK buffers took the TCP/HACK packet path to ≈0.04. These tests
+// keep it there. A regression to per-packet, per-event timer, closure,
+// or per-MPDU wrapper allocation adds ≈0.5-2 allocs/event and fails
+// the budget.
 package tcphack
 
 import (
 	"runtime"
 	"testing"
 
+	"tcphack/internal/campaign"
 	"tcphack/internal/node"
 	"tcphack/internal/sim"
 	"tcphack/internal/trace"
 )
 
 // steadyStateAllocBudget is the allowed mallocs per executed scheduler
-// event once the simulation is warm (measured ≈5 to 6 before PR 4,
-// ≈1.9 after it, and ≈1.45 with PR 5's MPDU/DataFrame pooling).
-const steadyStateAllocBudget = 1.8
+// event once the simulation is warm (measured ≈5 to 6 before the
+// timer and callback pooling, ≈1.08 with the MPDU/DataFrame freelists,
+// and ≈0.043 with the packet pool: what remains are the MAC and
+// channel wrapper sites — Transmission, AckFrame, queue growth).
+const steadyStateAllocBudget = 0.3
+
+// campaignAllocBudget is the allowed mallocs for one serial run of the
+// benchmark campaign grid (benchCampaignSpec(1): 8 points, 1 s warmup
+// plus 1 s measurement each, setup included). It measured 433k before
+// the packet pool and 52.4k after it; the budget leaves ≈15% for
+// runtime and map-growth noise, far below what one per-packet
+// allocation site reintroduced would add (tens of thousands).
+const campaignAllocBudget = 60_000
+
+// TestCampaignAllocBudget is the hard allocs/op budget on the
+// BenchmarkCampaignRun grid: it runs the grid once, serially, and
+// bounds the total mallocs. The simulation is deterministic, so the
+// count moves only with code changes (and slightly with the runtime).
+func TestCampaignAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	campaign.Run(benchCampaignSpec(1))
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("benchmark campaign grid: %d allocs/op, %d B/op", allocs, after.TotalAlloc-before.TotalAlloc)
+	if allocs > campaignAllocBudget {
+		t.Errorf("benchmark campaign grid allocated %d times, budget %d", allocs, campaignAllocBudget)
+	}
+}
 
 // TestSteadyStateAllocBudget runs the aggregated 802.11n HACK scenario
 // to steady state and asserts the allocation rate per simulated event

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -313,5 +314,68 @@ func TestOutOfRangeSubmitRejected(t *testing.T) {
 		if len(entries) != 0 {
 			t.Errorf("rejected spec left %d entr(ies) in %s/", len(entries), sub)
 		}
+	}
+}
+
+// spaceReader yields prefix, then spaces up to n bytes in all: an
+// unfinished JSON body of any size, produced without holding it in
+// memory.
+type spaceReader struct {
+	prefix string
+	n      int
+}
+
+func (r *spaceReader) Read(b []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if len(b) > r.n {
+		b = b[:r.n]
+	}
+	k := copy(b, r.prefix)
+	r.prefix = r.prefix[k:]
+	for i := k; i < len(b); i++ {
+		b[i] = ' '
+	}
+	r.n -= len(b)
+	return len(b), nil
+}
+
+// TestOversizedBodyRejected: every JSON POST handler stops reading at
+// maxRequestBody and replies 413, acting on nothing — no job, no
+// memoized row.
+func TestOversizedBodyRejected(t *testing.T) {
+	state := t.TempDir()
+	s, err := NewServer(ServerConfig{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, path := range []string{"/jobs", "/jobs/j1/shards/0/points", "/lease", "/heartbeat", "/complete"} {
+		rec := httptest.NewRecorder()
+		body := &spaceReader{prefix: `{"worker": "w", "spec": `, n: maxRequestBody + 1}
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413 (%s)", path, maxRequestBody+1, rec.Code, rec.Body)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized bodies left %d job(s): %+v", len(jobs), jobs)
+	}
+	for _, sub := range []string{"jobs", "cache"} {
+		entries, err := os.ReadDir(filepath.Join(state, sub))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("oversized bodies left %d entr(ies) in %s/", len(entries), sub)
+		}
+	}
+	// A body under the limit still decodes: the bound is not an
+	// off-by-everything.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/lease", bytes.NewReader([]byte(`{"worker": "w"}`))))
+	if rec.Code != http.StatusNoContent {
+		t.Errorf("POST /lease on an empty queue: status %d, want 204", rec.Code)
 	}
 }

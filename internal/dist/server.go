@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -793,8 +794,7 @@ func (s *Server) Handler() http.Handler {
 			ShardSize int               `json:"shard_size"`
 			Token     string            `json:"token"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		st, err := s.Submit(req.Spec, req.ShardSize, req.Token)
@@ -839,8 +839,7 @@ func (s *Server) Handler() http.Handler {
 			Worker string          `json:"worker"`
 			Row    campaign.Result `json:"row"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		dup, err := s.streamPoint(req.Worker, r.PathValue("id"), shardID, req.Row)
@@ -854,8 +853,7 @@ func (s *Server) Handler() http.Handler {
 		var req struct {
 			Worker string `json:"worker"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		grant, ok := s.lease(req.Worker)
@@ -871,8 +869,7 @@ func (s *Server) Handler() http.Handler {
 			Job    string `json:"job"`
 			Shard  int    `json:"shard"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		renewed, err := s.heartbeat(req.Worker, req.Job, req.Shard)
@@ -889,8 +886,7 @@ func (s *Server) Handler() http.Handler {
 			Shard  int              `json:"shard"`
 			Rows   campaign.Results `json:"rows"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		dup, err := s.complete(req.Worker, req.Job, req.Shard, req.Rows)
@@ -909,6 +905,29 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, s.MetricsSnapshot())
 	})
 	return mux
+}
+
+// maxRequestBody bounds the JSON body of every POST handler, so a
+// client cannot make the daemon buffer an unbounded request. 16 MiB
+// holds a /complete of about ten thousand rows.
+const maxRequestBody = 16 << 20
+
+// decodeBody decodes r's JSON body, at most maxRequestBody bytes, into
+// v. On failure it replies — 413 for an oversized body, 400 for a
+// malformed one — and reports false; the handler must then return
+// without acting on the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		httpError(w, http.StatusBadRequest, err)
+	}
+	return false
 }
 
 // writeJSON emits one JSON response.

@@ -138,6 +138,10 @@ type Config struct {
 	// ROHC codec probes. Tracers observe only; they never perturb RNG
 	// draws, event order, or protocol state.
 	Tracer trace.Tracer
+
+	// Packets is the pool reconstituted TCP ACKs are drawn from (nil:
+	// fresh packets that are never recycled).
+	Packets *packet.Pool
 }
 
 func (c Config) withDefaults() Config {
@@ -153,15 +157,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// heldAck is one TCP ACK held by the driver.
+// heldAck is one TCP ACK held by the driver. The logical held ACK —
+// however often the struct is copied between the pending, unconfirmed
+// and scratch slices — holds one reference on pkt, released when the
+// driver drops it.
 type heldAck struct {
 	pkt     *packet.Packet
-	data    []byte   // compressed form (4-bit MSN; anchored at assembly)
-	msn     uint8    // full master sequence number, for rohc.Anchor
-	cid     byte     // flow context id
-	readyAt sim.Time // when the NIC can see it (DMA complete)
-	expires sim.Time // ModeTimer deadline
-	counted bool     // already counted in Acct (first ride)
+	data    [rohc.MaxRecordLen]byte // compressed form (4-bit MSN; anchored at assembly)
+	n       uint8                   // length of the compressed form
+	msn     uint8                   // full master sequence number, for rohc.AppendAnchor
+	cid     byte                    // flow context id
+	readyAt sim.Time                // when the NIC can see it (DMA complete)
+	expires sim.Time                // ModeTimer deadline
+	counted bool                    // already counted in Acct (first ride)
+}
+
+// record returns the compressed form.
+func (h *heldAck) record() []byte { return h.data[:h.n] }
+
+// releaseAll drops the references of every held ACK in hs.
+func releaseAll(hs []heldAck) {
+	for i := range hs {
+		hs[i].pkt.Release()
+	}
 }
 
 // peerState tracks HACK state toward one MAC peer.
@@ -183,10 +201,39 @@ type peerState struct {
 	// re-anchors instead of stretching the MSN chain further.
 	syncSeen bool
 
-	// resolved records per-packet native outcomes (opportunistic mode:
-	// a held ACK whose native copy is known-delivered may be discarded
-	// safely; an in-flight one blocks riding of it and its successors).
-	resolved map[*packet.Packet]bool
+	// resolved records the held ACKs whose native copy has resolved
+	// (opportunistic mode: a held ACK whose native copy was delivered
+	// or expired may be discarded safely; an in-flight one blocks
+	// riding of it and its successors). Each key holds a reference, so
+	// its packet cannot be recycled into a different ACK that would
+	// match the stale entry.
+	resolved map[*packet.Packet]struct{}
+
+	// payload is the link-layer ACK payload buffer, reused frame after
+	// frame: the MAC consumes a payload before it can ask for the next
+	// one toward the same peer.
+	payload []byte
+}
+
+// holds reports whether p has a held copy awaiting its ride.
+func (ps *peerState) holds(p *packet.Packet) bool {
+	for i := range ps.pending {
+		if ps.pending[i].pkt == p {
+			return true
+		}
+	}
+	return false
+}
+
+// forget removes p from the resolved set, dropping the key's
+// reference, and reports whether it was there.
+func (ps *peerState) forget(p *packet.Packet) bool {
+	_, known := ps.resolved[p]
+	if known {
+		delete(ps.resolved, p)
+		p.Release()
+	}
+	return known
 }
 
 // held reports whether any compressed state (pending or retained) is
@@ -212,7 +259,8 @@ type Driver struct {
 	EnqueueNative func(dst mac.Addr, p *packet.Packet)
 	// ForwardUp receives reconstituted TCP ACKs extracted from
 	// link-layer ACKs (AP: toward the wire; client: into the local
-	// stack). Required.
+	// stack). Required. The driver releases each packet when
+	// ForwardUp returns, so a ForwardUp that keeps it must Retain it.
 	ForwardUp func(from mac.Addr, p *packet.Packet)
 	// WithdrawNative removes a still-queued native copy (opportunistic
 	// mode); it reports whether the packet was found and removed.
@@ -230,17 +278,24 @@ type Driver struct {
 	FailNoAnchor     uint64
 	FailNoContext    uint64
 	FailCRC          uint64
+
+	// Scratch reused across calls: the frame-assembly partitions and
+	// the decompression result.
+	ride, late, kept, blocked []heldAck
+	res                       rohc.Result
 }
 
 // NewDriver creates a driver bound to sched.
 func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
-	return &Driver{
+	d := &Driver{
 		sched: sched,
 		cfg:   cfg.withDefaults(),
 		comp:  rohc.NewCompressor(),
 		dec:   rohc.NewDecompressor(),
 		peers: make(map[mac.Addr]*peerState),
 	}
+	d.dec.Packets = d.cfg.Packets
+	return d
 }
 
 // Mode returns the driver's holding policy.
@@ -326,33 +381,48 @@ func (d *Driver) SubmitAck(dst mac.Addr, p *packet.Packet) {
 // send flags the flow for an IR refresh, so the chain's next
 // compressed ACK re-establishes the decompressor context absolutely
 // whether or not (and whenever) the native arrives. Only opportunistic
-// mode consumes the resolution, to decide a held copy's fate.
+// mode consumes the resolution, to decide a held copy's fate — so only
+// a packet with a held copy is recorded — and either outcome lets the
+// copy be discarded, so the mode records that the native resolved, not
+// how.
 func (d *Driver) NativeResolved(dst mac.Addr, p *packet.Packet, delivered bool) {
-	if d.cfg.Mode == ModeOpportunistic && p != nil {
-		ps := d.peer(dst)
-		if ps.resolved == nil {
-			ps.resolved = make(map[*packet.Packet]bool)
-		}
-		ps.resolved[p] = delivered
+	if d.cfg.Mode != ModeOpportunistic || p == nil {
+		return
+	}
+	ps := d.peer(dst)
+	if !ps.holds(p) {
+		return
+	}
+	if ps.resolved == nil {
+		ps.resolved = make(map[*packet.Packet]struct{})
+	}
+	if _, ok := ps.resolved[p]; !ok {
+		p.Retain()
+		ps.resolved[p] = struct{}{}
 	}
 }
 
-// hold compresses p into the peer's pending set; false means the ACK
-// cannot travel compressed (no context yet) and must go natively.
+// hold compresses p into the peer's pending set, retaining it; false
+// means the ACK cannot travel compressed (no context yet) and must go
+// natively.
 func (d *Driver) hold(ps *peerState, p *packet.Packet, expires sim.Time) bool {
-	data, msn, ok := d.comp.Compress(p)
+	ps.pending = append(ps.pending, heldAck{})
+	h := &ps.pending[len(ps.pending)-1]
+	// The record is appended in place: it never exceeds
+	// rohc.MaxRecordLen, the capacity of h.data.
+	data, msn, ok := d.comp.Compress(h.data[:0], p)
 	if !ok {
+		ps.pending = ps.pending[:len(ps.pending)-1]
 		return false
 	}
 	tuple, _ := p.Tuple()
 	if d.cfg.Tracer != nil {
 		d.cfg.Tracer.ROHCPacket(d.sched.Now(), uint16(d.cfg.Addr), rohc.IsIR(data), len(data))
 	}
-	ps.pending = append(ps.pending, heldAck{
-		pkt: p, data: data, msn: msn, cid: d.comp.CID(tuple),
-		readyAt: d.sched.Now() + d.cfg.DriverLatency,
-		expires: expires,
-	})
+	p.Retain()
+	h.pkt, h.n, h.msn, h.cid = p, uint8(len(data)), msn, d.comp.CID(tuple)
+	h.readyAt = d.sched.Now() + d.cfg.DriverLatency
+	h.expires = expires
 	return true
 }
 
@@ -398,7 +468,7 @@ func (d *Driver) sendNative(dst mac.Addr, p *packet.Packet) {
 // restarts compression immediately.
 func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 	pending, unconf := ps.pending, ps.unconfirmed
-	ps.pending, ps.unconfirmed = nil, nil
+	ps.pending, ps.unconfirmed = pending[:0], unconf[:0]
 	ps.syncSeen = false
 	if d.cfg.Mode == ModeTimer && ps.holdTimer != nil {
 		d.sched.Cancel(ps.holdTimer)
@@ -410,29 +480,35 @@ func (d *Driver) enterResync(dst mac.Addr, ps *peerState, cause trace.Cause) {
 	d.setState(dst, ps, StateResyncing, cause)
 
 	// Newest retained ACK per flow, for flows with no pending member
-	// (pending replays supersede retained state of the same flow).
-	inPending := make(map[byte]bool, len(pending))
+	// (pending replays supersede retained state of the same flow), in
+	// order of each flow's first retained ACK.
+	var inPending, seen [256]bool
 	for i := range pending {
 		inPending[pending[i].cid] = true
 	}
-	newest := make(map[byte]int, len(unconf))
-	var order []byte
+	var newest [256]int
+	var order [256]byte
+	flows := 0
 	for i := range unconf {
 		cid := unconf[i].cid
 		if inPending[cid] {
 			continue
 		}
-		if _, ok := newest[cid]; !ok {
-			order = append(order, cid)
+		if !seen[cid] {
+			seen[cid] = true
+			order[flows] = cid
+			flows++
 		}
 		newest[cid] = i
 	}
-	for _, cid := range order {
+	for _, cid := range order[:flows] {
 		d.sendNative(dst, unconf[newest[cid]].pkt)
 	}
 	for i := range pending {
 		d.sendNative(dst, pending[i].pkt)
 	}
+	releaseAll(unconf)
+	releaseAll(pending)
 }
 
 // armHoldTimer schedules the ModeTimer flush for the earliest expiry.
@@ -474,7 +550,7 @@ func (d *Driver) frameSafe(unconf, ride []heldAck) bool {
 	var first [256]uint8
 	var seen [256]bool
 	check := func(h *heldAck) bool {
-		total += len(h.data) + 1 // +1: worst-case anchor widening
+		total += int(h.n) + 1 // +1: worst-case anchor widening
 		if total > d.cfg.MaxPayload {
 			return false
 		}
@@ -507,14 +583,15 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 
 	// Split pending into NIC-visible (ready) and not-yet-DMA'd.
 	// readyAt is monotone in submission order, so ride is a prefix.
-	var ride, late []heldAck
-	for _, h := range ps.pending {
-		if h.readyAt <= now {
-			ride = append(ride, h)
+	d.ride, d.late = d.ride[:0], d.late[:0]
+	for i := range ps.pending {
+		if ps.pending[i].readyAt <= now {
+			d.ride = append(d.ride, ps.pending[i])
 		} else {
-			late = append(late, h)
+			d.late = append(d.late, ps.pending[i])
 		}
 	}
+	ride, late := d.ride, d.late
 
 	if d.cfg.Mode == ModeOpportunistic {
 		// Ride only ACKs whose native copy is still withdrawable.
@@ -529,36 +606,38 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		// the remaining copies' native twins are still queued, so they
 		// block here and contend natively or ride a later LL ACK.
 		budget := 0
-		var kept, blocked []heldAck
-		for i, h := range ride {
-			if budget+len(h.data)+1 > d.cfg.MaxPayload {
-				blocked = append(blocked, ride[i:]...)
+		d.kept, d.blocked = d.kept[:0], d.blocked[:0]
+		for i := range ride {
+			h := &ride[i]
+			if budget+int(h.n)+1 > d.cfg.MaxPayload {
+				d.blocked = append(d.blocked, ride[i:]...)
 				break
 			}
 			if d.WithdrawNative != nil && d.WithdrawNative(peer, h.pkt) {
-				budget += len(h.data) + 1
-				kept = append(kept, h)
+				// The withdrawal resolved the native as delivered; that
+				// outcome is this copy's to consume.
+				ps.forget(h.pkt)
+				budget += int(h.n) + 1
+				d.kept = append(d.kept, *h)
 				continue
 			}
-			delivered, known := ps.resolved[h.pkt]
-			delete(ps.resolved, h.pkt)
-			if known && delivered {
-				continue // superseded by its own native copy
-			}
-			if known && !delivered {
-				continue // expired; CRC+re-anchor absorb the damage
+			if ps.forget(h.pkt) {
+				// Delivered: superseded by its own native copy.
+				// Expired: CRC+re-anchor absorb the damage.
+				h.pkt.Release()
+				continue
 			}
 			// In flight: keep it and everything after it pending.
-			blocked = append(blocked, ride[i:]...)
+			d.blocked = append(d.blocked, ride[i:]...)
 			break
 		}
-		ride = kept
-		late = append(blocked, late...)
+		d.blocked = append(d.blocked, late...)
+		ride, late = d.kept, d.blocked
 	} else if !d.frameSafe(ps.unconfirmed, ride) {
 		// Guard violation: the chain has outgrown what one link-layer
 		// ACK can safely carry. Re-anchor instead of emitting a frame
 		// the peer would time out on or mis-deduplicate.
-		ps.pending = append(ride, late...)
+		ps.pending = append(append(ps.pending[:0], ride...), late...)
 		d.enterResync(peer, ps, trace.CauseGuard)
 		return nil
 	}
@@ -566,15 +645,15 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 	// Assemble the frame, widening the first MSN of each flow to the
 	// 8-bit anchor form (paper §3.4) — done here, at frame-assembly
 	// time, because which ACK leads the frame is only known now.
-	var payload []byte
+	payload := ps.payload[:0]
 	var anchored [256 / 8]byte // per-CID bitmap; frames carry few flows
 	emit := func(h *heldAck) {
 		if bit := &anchored[h.cid/8]; *bit&(1<<(h.cid%8)) == 0 {
 			*bit |= 1 << (h.cid % 8)
-			payload = rohc.AppendAnchor(payload, h.data, h.msn)
+			payload = rohc.AppendAnchor(payload, h.record(), h.msn)
 			return
 		}
-		payload = append(payload, h.data...)
+		payload = append(payload, h.record()...)
 	}
 	for i := range ps.unconfirmed {
 		emit(&ps.unconfirmed[i])
@@ -584,7 +663,7 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		if !ride[i].counted {
 			ride[i].counted = true
 			d.Acct.CompressedAcks++
-			d.Acct.CompressedBytes += uint64(len(ride[i].data))
+			d.Acct.CompressedBytes += uint64(ride[i].n)
 			d.Acct.UncompressedOf += uint64(ride[i].pkt.Len())
 		}
 	}
@@ -594,12 +673,15 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 		// re-anchors that flow constantly in this mode; if the
 		// link-layer ACK is lost, the peer retransmits its data and
 		// TCP's cumulative ACKs recover.
-		ps.unconfirmed = nil
-		ps.pending = late
+		releaseAll(ride)
+		ps.unconfirmed = ps.unconfirmed[:0]
+		ps.pending = append(ps.pending[:0], late...)
+		ps.payload = payload
 		return payload
 	}
 	ps.unconfirmed = append(ps.unconfirmed, ride...)
-	ps.pending = late
+	ps.pending = append(ps.pending[:0], late...)
+	ps.payload = payload
 
 	if d.cfg.Mode == ModeMoreData && !ps.moreData {
 		// No more data is coming (Figure 7): if this link-layer ACK is
@@ -617,7 +699,8 @@ func (d *Driver) BuildAckPayload(peer mac.Addr) []byte {
 // AckPayloadReceived implements mac.Hooks: decompress a HACK frame
 // found on a link-layer ACK and forward the reconstituted TCP ACKs.
 func (d *Driver) AckPayloadReceived(peer mac.Addr, payload []byte) {
-	res, err := d.dec.Decompress(payload)
+	res := &d.res
+	err := d.dec.Decompress(payload, res)
 	d.DecompDuplicates += uint64(res.Duplicates)
 	d.DecompFailures += uint64(res.Failures)
 	d.FailNoAnchor += uint64(res.FailNoAnchor)
@@ -627,12 +710,14 @@ func (d *Driver) AckPayloadReceived(peer mac.Addr, payload []byte) {
 		d.cfg.Tracer.ROHCResult(d.sched.Now(), uint16(d.cfg.Addr),
 			len(res.Packets), res.Duplicates, res.Failures)
 	}
+	for _, p := range res.Packets {
+		if err == nil {
+			d.ForwardUp(peer, p)
+		}
+		p.Release()
+	}
 	if err != nil {
 		d.DecompFailures++
-		return
-	}
-	for _, p := range res.Packets {
-		d.ForwardUp(peer, p)
 	}
 }
 
@@ -676,7 +761,8 @@ func (d *Driver) DataIndication(peer mac.Addr, ind mac.DataInd) {
 	case ind.Progress:
 		// The peer demonstrably received our previous link-layer ACK
 		// (Figures 5a/5b): retained state is delivered.
-		ps.unconfirmed = nil
+		releaseAll(ps.unconfirmed)
+		ps.unconfirmed = ps.unconfirmed[:0]
 		ps.syncSeen = false
 	}
 }

@@ -176,7 +176,9 @@ type Station struct {
 
 	// Hooks receives HACK driver callbacks; defaults to NopHooks.
 	Hooks Hooks
-	// Deliver receives MSDUs addressed to this station, in order.
+	// Deliver receives MSDUs addressed to this station, in order. The
+	// MSDU may be recycled once Deliver returns: a Deliver that keeps
+	// its packet must Retain it.
 	Deliver func(*MSDU)
 	// OnMSDUResolved, if set, reports the final fate of each
 	// transmitted MSDU: true once its delivery is confirmed by a
@@ -254,7 +256,8 @@ func (st *Station) Enqueue(m *MSDU) bool {
 // destination queue is full. It is the allocation-free equivalent of
 // Enqueue for hot paths: the MSDU returns to the freelist automatically
 // once every holder — the transmit path and, for aggregated traffic,
-// the receiver's reorder buffer — has released it.
+// the receiver's reorder buffer — has released it. The MSDU holds a
+// reference on p (see the packet package's ownership rule) until then.
 func (st *Station) EnqueuePacket(dst Addr, p *packet.Packet, isTCPAck bool) bool {
 	m := st.getMSDU(dst, p, isTCPAck)
 	if !st.Enqueue(m) {
@@ -349,6 +352,7 @@ func (st *Station) lastRateFor(q *destQueue) phy.Rate {
 
 // getMSDU returns a recycled (or new) MSDU owned by this station's
 // freelist, fully reinitialized with one reference held by the caller.
+// The MSDU retains p until it is recycled.
 func (st *Station) getMSDU(dst Addr, p *packet.Packet, isTCPAck bool) *MSDU {
 	var m *MSDU
 	if n := len(st.msduPool); n > 0 {
@@ -357,13 +361,15 @@ func (st *Station) getMSDU(dst Addr, p *packet.Packet, isTCPAck bool) *MSDU {
 	} else {
 		m = &MSDU{}
 	}
+	p.Retain()
 	*m = MSDU{Src: st.cfg.Addr, Dst: dst, Packet: p, IsTCPAck: isTCPAck, pool: st, refs: 1}
 	return m
 }
 
-// putMSDU recycles an MSDU whose last reference was released. The
-// packet reference is dropped so the pool never extends its lifetime.
+// putMSDU recycles an MSDU whose last reference was released, releasing
+// its packet so the pool never extends the packet's lifetime.
 func (st *Station) putMSDU(m *MSDU) {
+	m.Packet.Release()
 	m.Packet = nil
 	st.msduPool = append(st.msduPool, m)
 }

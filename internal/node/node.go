@@ -232,6 +232,8 @@ func bssAPIP(b int) packet.Addr { return packet.IP(192, 168, byte(b), 1) }
 
 // Link is a full-duplex point-to-point wired link (one Link per
 // direction): fixed rate, fixed propagation delay, FIFO serialization.
+// A packet in flight is retained by the link, which releases it once
+// Deliver returns.
 type Link struct {
 	sched     *sim.Scheduler
 	rateKbps  int
@@ -245,8 +247,18 @@ type Link struct {
 // NewLink creates a link; rateKbps 0 means infinite rate.
 func NewLink(sched *sim.Scheduler, rateKbps int, delay sim.Duration) *Link {
 	l := &Link{sched: sched, rateKbps: rateKbps, delay: delay}
-	l.deliver = func(a any) { l.Deliver(a.(*packet.Packet)) }
+	l.deliver = releasing(func(p *packet.Packet) { l.Deliver(p) })
 	return l
+}
+
+// releasing wraps fn as the Post callback of a retained packet: the
+// packet is released once fn has handled it.
+func releasing(fn func(*packet.Packet)) func(any) {
+	return func(a any) {
+		p := a.(*packet.Packet)
+		fn(p)
+		p.Release()
+	}
 }
 
 // Send serializes p onto the link.
@@ -261,6 +273,7 @@ func (l *Link) Send(p *packet.Packet) {
 		txTime = sim.Duration(int64(p.Len()) * 8 * int64(sim.Second) / (int64(l.rateKbps) * 1000))
 	}
 	l.busyUntil = start + txTime
+	p.Retain()
 	l.sched.Post(l.busyUntil+l.delay, l.deliver, p)
 }
 
@@ -275,7 +288,9 @@ type WifiNode struct {
 	MACAddr mac.Addr
 
 	// Persistent Post callbacks for the per-packet host-delay events
-	// (one closure per node instead of one per packet).
+	// (one closure per node instead of one per packet). A posted
+	// packet is retained by the event, which releases it once handled
+	// (see post).
 	localIn func(any)
 	routeFn func(any)
 
@@ -307,6 +322,11 @@ type Network struct {
 	Flows []*Flow
 
 	nextPort uint16
+
+	// packets is the network's packet pool: TCP segments, UDP
+	// datagrams and reconstituted ACKs are drawn from it and recycled
+	// into it (see the packet package's ownership rule).
+	packets packet.Pool
 }
 
 // Flow is one transfer and its measurement hooks.
@@ -474,13 +494,14 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 		net: n, MAC: st, IP: ip, MACAddr: addr,
 		endpoints: make(map[packet.FiveTuple]*tcp.Endpoint),
 	}
-	w.localIn = func(a any) { w.localInput(a.(*packet.Packet)) }
-	w.routeFn = func(a any) { w.route(a.(*packet.Packet)) }
+	w.localIn = releasing(w.localInput)
+	w.routeFn = releasing(w.route)
 	d := hack.NewDriver(n.Sched, hack.Config{
 		Mode:          n.Cfg.Mode,
 		DriverLatency: n.Cfg.DriverLatency,
 		Addr:          addr,
 		Tracer:        n.Cfg.Tracer,
+		Packets:       &n.packets,
 	})
 	d.EnqueueNative = func(dst mac.Addr, p *packet.Packet) {
 		if !st.EnqueuePacket(dst, p, true) {
@@ -492,7 +513,7 @@ func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiN
 	d.ForwardUp = func(from mac.Addr, p *packet.Packet) {
 		// Reconstituted TCP ACKs surface at the driver; forward after
 		// the driver's processing latency.
-		n.Sched.PostAfter(n.Cfg.ForwardDelay, w.routeFn, p)
+		w.post(n.Cfg.ForwardDelay, w.routeFn, p)
 	}
 	d.WithdrawNative = func(dst mac.Addr, p *packet.Packet) bool {
 		if st.RemoveQueued(dst, func(m *mac.MSDU) bool { return m.Packet == p }) {
@@ -523,11 +544,18 @@ func (w *WifiNode) fromWifi(m *mac.MSDU) {
 	}
 	if p.IP.Dst == w.IP {
 		// Local delivery through the host stack.
-		w.net.Sched.PostAfter(w.net.Cfg.StackDelay, w.localIn, p)
+		w.post(w.net.Cfg.StackDelay, w.localIn, p)
 		return
 	}
 	// Forwarding (AP role).
-	w.net.Sched.PostAfter(w.net.Cfg.ForwardDelay, w.routeFn, p)
+	w.post(w.net.Cfg.ForwardDelay, w.routeFn, p)
+}
+
+// post schedules fn (localIn or routeFn) for p after delay, retaining
+// p until fn has handled it.
+func (w *WifiNode) post(delay sim.Duration, fn func(any), p *packet.Packet) {
+	p.Retain()
+	w.net.Sched.PostAfter(delay, fn, p)
 }
 
 // localInput demultiplexes a packet to this node's stack.
@@ -627,6 +655,7 @@ func (n *Network) StartDownload(ci int, totalBytes uint64, startAt sim.Duration)
 	rcfg.Local, rcfg.LocalPort = clientIP(ci), port
 	rcfg.Remote, rcfg.RemotePort = senderIP, port
 
+	scfg.Packets, rcfg.Packets = &n.packets, &n.packets
 	sender := tcp.NewEndpoint(n.Sched, scfg)
 	receiver := tcp.NewEndpoint(n.Sched, rcfg)
 	f := &Flow{Client: ci, Sender: sender, Receiver: receiver}
@@ -648,6 +677,7 @@ func (n *Network) StartUpload(ci int, totalBytes uint64, startAt sim.Duration) *
 	rcfg.Local, rcfg.LocalPort = peerIP, port
 	rcfg.Remote, rcfg.RemotePort = clientIP(ci), port
 
+	scfg.Packets, rcfg.Packets = &n.packets, &n.packets
 	sender := tcp.NewEndpoint(n.Sched, scfg)
 	receiver := tcp.NewEndpoint(n.Sched, rcfg)
 	f := &Flow{Client: ci, Upload: true, Sender: sender, Receiver: receiver}
@@ -723,16 +753,16 @@ func (n *Network) StartUDPDownload(ci int, rateKbps int, pktLen int, startAt sim
 	var tick func(any)
 	tick = func(any) {
 		ipID++
-		p := &packet.Packet{
-			IP:         packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, ID: ipID, Src: srcIP, Dst: dst},
-			UDP:        &packet.UDP{SrcPort: 9, DstPort: 9},
-			PayloadLen: pktLen - packet.IPv4HeaderLen - packet.UDPHeaderLen,
-		}
+		p := n.packets.Get(packet.ProtoUDP)
+		p.IP.TTL, p.IP.ID, p.IP.Src, p.IP.Dst = 64, ipID, srcIP, dst
+		p.UDP.SrcPort, p.UDP.DstPort = 9, 9
+		p.PayloadLen = pktLen - packet.IPv4HeaderLen - packet.UDPHeaderLen
 		if bss.wireDn != nil {
 			bss.wireDn.Send(p)
 		} else {
 			bss.AP.route(p)
 		}
+		p.Release() // the creation reference; holders have retained it
 		n.Sched.PostAfter(interval, tick, nil)
 	}
 	n.Sched.Post(sim.Time(startAt), tick, nil)

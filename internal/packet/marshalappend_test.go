@@ -27,7 +27,8 @@ func marshalCases() []*Packet {
 				SrcPort: 80, DstPort: 5001, Seq: 5, Ack: 1000, Flags: FlagACK, Window: 512,
 				Opt: TCPOptions{
 					HasTimestamps: true, TSVal: 9, TSEcr: 8,
-					SACKBlocks: [][2]uint32{{2000, 3000}, {4000, 5000}},
+					SACK:    [MaxSACKBlocks][2]uint32{{2000, 3000}, {4000, 5000}},
+					NumSACK: 2,
 				},
 			},
 			PayloadLen: 0,

@@ -11,6 +11,29 @@
 // scratch buffer instead of Marshal; the two produce identical bytes,
 // but the append form is allocation-free once its buffer has grown to
 // the working size.
+//
+// # Packet ownership
+//
+// A simulated network draws its packets from one Pool, which recycles
+// them once nothing holds them any more. A packet counts its holders:
+//
+//   - The creator (Pool.Get) holds the first reference. It hands the
+//     packet on and then drops that reference with Release; in this
+//     repository the creators are the TCP endpoint, the ROHC
+//     decompressor's reconstruction and the node's UDP source.
+//   - Every holder that keeps the packet past the call that handed it
+//     over calls Retain, and Release once it is done: the MAC's MSDU,
+//     a wired link while the packet is in flight, a posted host-stack
+//     or forwarding event, a HACK-held ACK, and a key of the HACK
+//     driver's per-packet resolution map (so a recycled packet can
+//     never match a stale key or pointer compare).
+//   - A holder that uses the packet only for the duration of a call
+//     (TCP input, the ROHC codecs, routing) takes no reference.
+//
+// The last Release returns the packet to its pool; a Release beyond
+// the last panics. A packet whose pool is nil — one built as a struct
+// literal, returned by Unmarshal or Clone, or drawn from a nil *Pool —
+// is never recycled, and Retain and Release are no-ops on it.
 package packet
 
 import (
@@ -79,9 +102,29 @@ type TCPOptions struct {
 	// Timestamps: TSVal/TSEcr per RFC 7323. Present if HasTimestamps.
 	HasTimestamps bool
 	TSVal, TSEcr  uint32
-	// SACKBlocks lists up to 3 (left, right) sequence edges (RFC 2018;
-	// 3 when combined with timestamps).
-	SACKBlocks [][2]uint32
+	// SACK holds NumSACK (left, right) sequence edges (RFC 2018: at
+	// most 4, or 3 when combined with timestamps). The blocks are an
+	// array, so copying a TCPOptions by value copies them too.
+	SACK    [MaxSACKBlocks][2]uint32
+	NumSACK uint8
+}
+
+// MaxSACKBlocks is the most SACK blocks a TCP header can carry: the
+// 40-byte option space holds one SACK option of at most 4 blocks.
+const MaxSACKBlocks = 4
+
+// SACKBlocks returns the carried SACK blocks, a view into o.
+func (o *TCPOptions) SACKBlocks() [][2]uint32 { return o.SACK[:o.NumSACK] }
+
+// AppendSACK adds the block [left, right), reporting false (and adding
+// nothing) when all MaxSACKBlocks slots are taken.
+func (o *TCPOptions) AppendSACK(left, right uint32) bool {
+	if o.NumSACK >= MaxSACKBlocks {
+		return false
+	}
+	o.SACK[o.NumSACK] = [2]uint32{left, right}
+	o.NumSACK++
+	return true
 }
 
 // TCP is a TCP header plus options.
@@ -111,6 +154,85 @@ type Packet struct {
 	TCP        *TCP // nil unless IP.Protocol == ProtoTCP
 	UDP        *UDP // nil unless IP.Protocol == ProtoUDP
 	PayloadLen int
+
+	// home is the pool slot holding this packet, nil for packets that
+	// are never recycled; refs counts the holders (see the package
+	// documentation).
+	home *pooled
+	refs int32
+}
+
+// Pool is a freelist of packets. It grows on demand and recycles a
+// packet once its last holder releases it. A Pool is not safe for
+// concurrent use: each simulated network owns one. The zero value is
+// an empty pool, and a nil *Pool hands out packets that are never
+// recycled.
+type Pool struct {
+	free []*pooled
+}
+
+// pooled is one freelist object: a packet together with the TCP and
+// UDP headers it points at, so a packet costs one allocation for its
+// whole lifetime in the pool.
+type pooled struct {
+	pkt  Packet
+	tcp  TCP
+	udp  UDP
+	pool *Pool
+}
+
+// Get returns a zeroed packet of the given IP protocol: TCP or UDP is
+// set to a zeroed header for ProtoTCP or ProtoUDP, and the caller
+// holds its one reference.
+func (pl *Pool) Get(proto byte) *Packet {
+	var s *pooled
+	if pl != nil && len(pl.free) > 0 {
+		s = pl.free[len(pl.free)-1]
+		pl.free = pl.free[:len(pl.free)-1]
+		s.tcp, s.udp = TCP{}, UDP{}
+	} else {
+		s = &pooled{pool: pl}
+	}
+	s.pkt = Packet{IP: IPv4{Protocol: proto}, refs: 1}
+	if pl != nil {
+		s.pkt.home = s
+	}
+	switch proto {
+	case ProtoTCP:
+		s.pkt.TCP = &s.tcp
+	case ProtoUDP:
+		s.pkt.UDP = &s.udp
+	}
+	return &s.pkt
+}
+
+// Retain adds a holder reference. Retaining a packet that holds no
+// reference (it is back in its pool) panics. It is a no-op on a packet
+// that is never recycled.
+func (p *Packet) Retain() {
+	if p.home == nil {
+		return
+	}
+	if p.refs <= 0 {
+		panic("packet: Retain of a packet with no reference")
+	}
+	p.refs++
+}
+
+// Release drops a holder reference; the last one returns the packet to
+// its pool. Releasing a packet that holds no reference panics. It is a
+// no-op on a packet that is never recycled.
+func (p *Packet) Release() {
+	if p.home == nil {
+		return
+	}
+	p.refs--
+	switch {
+	case p.refs == 0:
+		p.home.pool.free = append(p.home.pool.free, p.home)
+	case p.refs < 0:
+		panic("packet: Release of a packet with no reference")
+	}
 }
 
 // Len returns the total IP datagram length in bytes.
@@ -134,14 +256,12 @@ func (p *Packet) IsTCPAck() bool {
 		p.TCP.Flags&(FlagSYN|FlagFIN|FlagRST) == 0
 }
 
-// Clone returns a deep copy of p.
+// Clone returns a deep copy of p that is never recycled.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.home, q.refs = nil, 0
 	if p.TCP != nil {
 		t := *p.TCP
-		if len(p.TCP.Opt.SACKBlocks) > 0 {
-			t.Opt.SACKBlocks = append([][2]uint32(nil), p.TCP.Opt.SACKBlocks...)
-		}
 		q.TCP = &t
 	}
 	if p.UDP != nil {
@@ -200,8 +320,8 @@ func (o *TCPOptions) wireLen() int {
 	if o.HasTimestamps {
 		n += 10
 	}
-	if len(o.SACKBlocks) > 0 {
-		n += 2 + 8*len(o.SACKBlocks)
+	if o.NumSACK > 0 {
+		n += 2 + 8*int(o.NumSACK)
 	}
 	return (n + 3) &^ 3
 }
@@ -227,10 +347,10 @@ func (o *TCPOptions) marshal(b []byte) int {
 		binary.BigEndian.PutUint32(b[i+6:], o.TSEcr)
 		i += 10
 	}
-	if len(o.SACKBlocks) > 0 {
-		b[i], b[i+1] = 5, byte(2+8*len(o.SACKBlocks))
+	if o.NumSACK > 0 {
+		b[i], b[i+1] = 5, byte(2+8*o.NumSACK)
 		i += 2
-		for _, blk := range o.SACKBlocks {
+		for _, blk := range o.SACKBlocks() {
 			binary.BigEndian.PutUint32(b[i:], blk[0])
 			binary.BigEndian.PutUint32(b[i+4:], blk[1])
 			i += 8
@@ -287,10 +407,9 @@ func parseTCPOptions(b []byte) (TCPOptions, error) {
 				return o, errors.New("packet: bad SACK option")
 			}
 			for j := 0; j < len(body); j += 8 {
-				o.SACKBlocks = append(o.SACKBlocks, [2]uint32{
-					binary.BigEndian.Uint32(body[j:]),
-					binary.BigEndian.Uint32(body[j+4:]),
-				})
+				if !o.AppendSACK(binary.BigEndian.Uint32(body[j:]), binary.BigEndian.Uint32(body[j+4:])) {
+					return o, errors.New("packet: too many SACK blocks")
+				}
 			}
 		}
 		i += l

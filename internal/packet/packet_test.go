@@ -22,7 +22,7 @@ func TestMarshalUnmarshalRoundtripTCP(t *testing.T) {
 	p := tcpAck(100, 2920)
 	p.TCP.Opt = TCPOptions{
 		HasTimestamps: true, TSVal: 123456, TSEcr: 654321,
-		SACKBlocks: [][2]uint32{{3000, 4460}},
+		SACK: [MaxSACKBlocks][2]uint32{{3000, 4460}}, NumSACK: 1,
 	}
 	b := p.Marshal()
 	q, err := Unmarshal(b)
@@ -138,7 +138,8 @@ func TestOptionWireLenPadding(t *testing.T) {
 	if o.wireLen() != 12 { // 10 rounded to 12
 		t.Errorf("ts options len %d, want 12", o.wireLen())
 	}
-	o.SACKBlocks = [][2]uint32{{1, 2}, {3, 4}}
+	o.AppendSACK(1, 2)
+	o.AppendSACK(3, 4)
 	if o.wireLen()%4 != 0 {
 		t.Errorf("options len %d not 4-aligned", o.wireLen())
 	}
@@ -166,14 +167,14 @@ func TestIsTCPAck(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	p := tcpAck(5, 6)
-	p.TCP.Opt.SACKBlocks = [][2]uint32{{1, 2}}
+	p.TCP.Opt.AppendSACK(1, 2)
 	q := p.Clone()
 	q.TCP.Seq = 99
-	q.TCP.Opt.SACKBlocks[0][0] = 77
+	q.TCP.Opt.SACK[0][0] = 77
 	if p.TCP.Seq != 5 {
 		t.Error("clone aliases TCP header")
 	}
-	if p.TCP.Opt.SACKBlocks[0][0] != 1 {
+	if p.TCP.Opt.SACK[0][0] != 1 {
 		t.Error("clone aliases SACK blocks")
 	}
 }
@@ -221,7 +222,7 @@ func TestRoundtripProperty(t *testing.T) {
 			if sackR < sackL {
 				sackL, sackR = sackR, sackL
 			}
-			p.TCP.Opt.SACKBlocks = [][2]uint32{{sackL, sackR}}
+			p.TCP.Opt.AppendSACK(sackL, sackR)
 		}
 		q, err := Unmarshal(p.Marshal())
 		if err != nil {

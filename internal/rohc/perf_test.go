@@ -114,11 +114,11 @@ func TestCompressDecompressStayInSync(t *testing.T) {
 		p.IP.ID++
 		p.TCP.Ack += 2920
 		p.TCP.Opt.TSVal++
-		data, msn, ok := comp.Compress(p)
+		data, msn, ok := comp.Compress(nil, p)
 		if !ok {
 			t.Fatalf("ack %d did not compress", i)
 		}
-		res, err := dec.Decompress(Anchor(data, msn))
+		res, err := decompress(dec, Anchor(data, msn))
 		if err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}

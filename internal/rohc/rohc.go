@@ -150,6 +150,19 @@ const (
 // protocol, TTL, TOS.
 const irStaticLen = 15
 
+// maxSACK is the most SACK blocks a compressed ACK encodes (the 2-bit
+// count in the options byte).
+const maxSACK = 3
+
+// MaxRecordLen bounds one compressed ACK as Compress emits it: the IR
+// form's worst case — CID, flags and 8-bit MSN (3), a 32-bit ACK
+// varint (5), window (2), options (1), static chain (15), two 32-bit
+// timestamp varints (10), a 16-bit IP-ID varint (3), a zigzag 32-bit
+// sequence varint (5), three SACK blocks of two 32-bit varints (30)
+// and the CRC (1). A caller that hands Compress a buffer with this much
+// spare capacity gets its record appended without an allocation.
+const MaxRecordLen = 3 + 5 + 2 + 1 + irStaticLen + 10 + 3 + 5 + maxSACK*10 + 1
+
 // context holds the shared compressor/decompressor state for one flow.
 // The two ends evolve their contexts identically because they process
 // the same sequence of ACKs (natively observed or compressed-delivered,
@@ -422,30 +435,31 @@ func IsIR(data []byte) bool {
 }
 
 // Compress encodes a pure TCP ACK against its flow context, in the
-// compact 4-bit-MSN form; msn is the ACK's full master sequence
-// number, which the frame assembler passes to Anchor for the first
-// ACK of each flow in a frame. It returns ok=false when the ACK
-// cannot travel compressed (no context yet, option shape change, >3
-// SACK blocks); such ACKs must travel natively, which establishes the
-// context at both ends.
-func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool) {
+// compact 4-bit-MSN form, appending the record (at most MaxRecordLen
+// bytes) to dst and returning the extended slice; msn is the ACK's
+// full master sequence number, which the frame assembler passes to
+// Anchor for the first ACK of each flow in a frame. It returns
+// ok=false, with dst unchanged, when the ACK cannot travel compressed
+// (no context yet, option shape change, >3 SACK blocks); such ACKs
+// must travel natively, which establishes the context at both ends.
+func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn uint8, ok bool) {
 	if !p.IsTCPAck() {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	tuple := tupleOf(p)
 	cid := c.cids.cid(tuple)
 	ctx, exists := c.contexts[cid]
 	if !exists || !ctx.valid || ctx.tuple != tuple {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	t := p.TCP
 	if t.Opt.HasTimestamps != ctx.hasTS && !ctx.refreshed {
-		return nil, 0, false // option shape changed; refresh natively
+		return dst, 0, false // option shape changed; refresh natively
 	}
 
-	nSACK := len(t.Opt.SACKBlocks)
-	if nSACK > 3 {
-		return nil, 0, false // beyond the encodable range; send natively
+	nSACK := int(t.Opt.NumSACK)
+	if nSACK > maxSACK {
+		return dst, 0, false // beyond the encodable range; send natively
 	}
 
 	if ctx.refreshed {
@@ -453,7 +467,7 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		// decompressor's context state is unknowable (the anchor may be
 		// parked in the peer's reorder buffer), so emit a
 		// self-contained IR refresh rather than a delta.
-		return c.compressIR(p, ctx, cid)
+		return c.compressIR(dst, p, ctx, cid)
 	}
 
 	ctx.msn++
@@ -492,8 +506,7 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		flags |= flagOptExt
 	}
 
-	buf := make([]byte, 0, 8)
-	buf = append(buf, cid, flags<<4|msn&0x0f)
+	buf := append(dst, cid, flags<<4|msn&0x0f)
 	var tmp [binary.MaxVarintLen64]byte
 	if !ackImplicit {
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(ackD))]...)
@@ -513,7 +526,7 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 		if opt&optSeqChanged != 0 {
 			buf = append(buf, tmp[:binary.PutVarint(tmp[:], seqD)]...)
 		}
-		for _, blk := range t.Opt.SACKBlocks {
+		for _, blk := range t.Opt.SACKBlocks() {
 			rel := blk[0] - t.Ack
 			length := blk[1] - blk[0]
 			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(rel))]...)
@@ -536,9 +549,9 @@ func (c *Compressor) Compress(p *packet.Packet) (data []byte, msn uint8, ok bool
 // context from the frame alone. The compressor commits the same
 // absolute state (stride predictors reset) that the IR installs at the
 // decompressor, re-synchronizing both ends by construction.
-func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data []byte, msn uint8, ok bool) {
+func (c *Compressor) compressIR(dst []byte, p *packet.Packet, ctx *context, cid byte) (data []byte, msn uint8, ok bool) {
 	t := p.TCP
-	nSACK := len(t.Opt.SACKBlocks)
+	nSACK := t.Opt.NumSACK
 	ctx.msn++
 	msn = ctx.msn
 
@@ -548,8 +561,7 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 		opt |= optTS | optTSExplicit
 	}
 
-	buf := make([]byte, 0, 48)
-	buf = append(buf, cid, flags<<4|msn&0x0f, msn)
+	buf := append(dst, cid, flags<<4|msn&0x0f, msn)
 	var tmp [binary.MaxVarintLen64]byte
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(t.Ack))]...)
 	buf = append(buf, byte(t.Window>>8), byte(t.Window))
@@ -566,7 +578,7 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 	}
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(p.IP.ID))]...)
 	buf = append(buf, tmp[:binary.PutVarint(tmp[:], int64(t.Seq))]...)
-	for _, blk := range t.Opt.SACKBlocks {
+	for _, blk := range t.Opt.SACKBlocks() {
 		rel := blk[0] - t.Ack
 		length := blk[1] - blk[0]
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(rel))]...)
@@ -579,49 +591,47 @@ func (c *Compressor) compressIR(p *packet.Packet, ctx *context, cid byte) (data 
 	return buf, msn, true
 }
 
+// sackDeltas holds a compressed ACK's SACK blocks as decoded:
+// (offset from the cumulative ACK, length) pairs.
+type sackDeltas struct {
+	n   int
+	rel [maxSACK][2]uint32
+}
+
 // reconstruct builds a pure-ACK packet from absolute header fields —
 // the single reconstruction path both the delta decoder and the IR
 // installer feed into headerCRC, so the two can never diverge on
-// which fields a reconstruction carries. The packet and its TCP
-// header share one allocation (reconstruction is the decompressor's
-// hot path).
-func reconstruct(tuple packet.FiveTuple, tos, ttl byte, ipID uint16,
+// which fields a reconstruction carries. The packet comes from d's
+// pool (reconstruction is the decompressor's hot path) with one
+// reference the caller owns.
+func (d *Decompressor) reconstruct(tuple packet.FiveTuple, tos, ttl byte, ipID uint16,
 	seq, ack uint32, window uint16, hasTS bool, tsVal, tsEcr uint32,
-	sacks [][2]uint32) *packet.Packet {
-	recon := &struct {
-		p packet.Packet
-		t packet.TCP
-	}{
-		p: packet.Packet{
-			IP: packet.IPv4{
-				TOS: tos, TTL: ttl, ID: ipID,
-				Protocol: packet.ProtoTCP,
-				Src:      tuple.Src, Dst: tuple.Dst,
-			},
-		},
-		t: packet.TCP{
-			SrcPort: tuple.SrcPort, DstPort: tuple.DstPort,
-			Seq: seq, Ack: ack, Window: window,
-			Flags: packet.FlagACK,
-		},
-	}
-	p := &recon.p
-	p.TCP = &recon.t
+	sacks sackDeltas) *packet.Packet {
+	p := d.Packets.Get(packet.ProtoTCP)
+	p.IP.TOS, p.IP.TTL, p.IP.ID = tos, ttl, ipID
+	p.IP.Src, p.IP.Dst = tuple.Src, tuple.Dst
+	t := p.TCP
+	t.SrcPort, t.DstPort = tuple.SrcPort, tuple.DstPort
+	t.Seq, t.Ack, t.Window = seq, ack, window
+	t.Flags = packet.FlagACK
 	if hasTS {
-		p.TCP.Opt.HasTimestamps = true
-		p.TCP.Opt.TSVal, p.TCP.Opt.TSEcr = tsVal, tsEcr
+		t.Opt.HasTimestamps = true
+		t.Opt.TSVal, t.Opt.TSEcr = tsVal, tsEcr
 	}
-	for _, s := range sacks {
+	for _, s := range sacks.rel[:sacks.n] {
 		left := ack + s[0]
-		p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{left, left + s[1]})
+		t.Opt.AppendSACK(left, left+s[1])
 	}
 	return p
 }
 
-// Result reports the outcome of decompressing one HACK frame.
+// Result reports the outcome of decompressing one HACK frame. A caller
+// that decompresses frame after frame reuses one Result, and with it
+// the Packets slice's storage.
 type Result struct {
 	// Packets are the reconstituted TCP ACKs, in frame order,
-	// duplicates excluded.
+	// duplicates excluded. Each carries one reference the caller owns
+	// and must Release.
 	Packets []*packet.Packet
 	// Duplicates counts ACKs discarded by MSN-based dedup (normal
 	// under link-layer retransmission, paper Figure 6).
@@ -637,6 +647,10 @@ type Result struct {
 
 // Decompressor reconstitutes TCP ACKs from compressed HACK frames.
 type Decompressor struct {
+	// Packets is the pool reconstituted ACKs are drawn from (nil:
+	// fresh packets that are never recycled).
+	Packets *packet.Pool
+
 	contexts map[byte]*context
 	cids     cidCache
 	scratch  []byte // headerCRC marshal buffer
@@ -708,22 +722,24 @@ var (
 )
 
 // Decompress parses a HACK frame (a concatenation of compressed ACKs)
-// and returns the reconstituted, deduplicated packets. A parse error
-// aborts the remainder of the frame (framing is self-delimiting only
-// while the stream is intact); per-ACK CRC or context failures skip
-// the affected ACK and poison its context until a native refresh.
-func (d *Decompressor) Decompress(frame []byte) (Result, error) {
-	var res Result
+// into res, which it first resets (keeping the Packets storage): the
+// reconstituted, deduplicated packets and the frame's counters. A
+// parse error aborts the remainder of the frame (framing is
+// self-delimiting only while the stream is intact), keeping what was
+// reconstituted before it; per-ACK CRC or context failures skip the
+// affected ACK and poison its context until a native refresh.
+func (d *Decompressor) Decompress(frame []byte, res *Result) error {
+	*res = Result{Packets: res.Packets[:0]}
 	d.epoch++ // invalidate the previous frame's per-CID MSN chain
 	i := 0
 	for i < len(frame) {
-		n, err := d.one(frame[i:], &res)
+		n, err := d.one(frame[i:], res)
 		if err != nil {
-			return res, fmt.Errorf("at offset %d: %w", i, err)
+			return fmt.Errorf("at offset %d: %w", i, err)
 		}
 		i += n
 	}
-	return res, nil
+	return nil
 }
 
 // one parses a single compressed ACK, returning its encoded length.
@@ -786,7 +802,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	var ipIDD uint64
 	ipIDExplicit := false
 	var seqD int64
-	var sacks [][2]uint32 // relative (offset, length) pairs
+	var sacks sackDeltas
 	var ir bool
 	var irTuple packet.FiveTuple
 	var irTTL, irTOS byte
@@ -848,7 +864,8 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 				return 0, errVarint
 			}
 			i += n
-			sacks = append(sacks, [2]uint32{uint32(rel), uint32(length)})
+			sacks.rel[k] = [2]uint32{uint32(rel), uint32(length)}
+			sacks.n++
 		}
 	}
 	if i >= len(b) {
@@ -902,7 +919,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	if flags&flagWinChanged == 0 {
 		window = ctx.window
 	}
-	p := reconstruct(ctx.tuple, ctx.tos, ctx.ttl, ctx.ipID+uint16(ipIDD),
+	p := d.reconstruct(ctx.tuple, ctx.tos, ctx.ttl, ctx.ipID+uint16(ipIDD),
 		ctx.seq+uint32(seqD), ctx.ack+uint32(ackD), window,
 		opt&optTS != 0, ctx.tsVal+uint32(tsValD), ctx.tsEcr+uint32(tsEcrD), sacks)
 
@@ -910,6 +927,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 		// Context damage: reject and distrust until a native or IR
 		// refresh (paper §3.4 — damage must not persist; the flow's
 		// next anchor restores synchronization).
+		p.Release()
 		d.Invalidate(cid)
 		res.Failures++
 		res.FailCRC++
@@ -939,7 +957,7 @@ type irFields struct {
 	tsVal, tsEcr uint32
 	ipID         uint16
 	seq          uint32
-	sacks        [][2]uint32
+	sacks        sackDeltas
 	wantCRC      byte
 }
 
@@ -980,11 +998,12 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 		}
 	}
 
-	p := reconstruct(f.tuple, f.tos, f.ttl, f.ipID, f.seq, f.ack, f.window,
+	p := d.reconstruct(f.tuple, f.tos, f.ttl, f.ipID, f.seq, f.ack, f.window,
 		f.hasTS, f.tsVal, f.tsEcr, f.sacks)
 	if headerCRC(p, &d.scratch) != f.wantCRC {
 		// An IR is self-contained, so a CRC mismatch means the frame
 		// itself is damaged; the context keeps whatever trust it had.
+		p.Release()
 		res.Failures++
 		res.FailCRC++
 		return nil

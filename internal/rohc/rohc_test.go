@@ -64,7 +64,7 @@ func pair(f *flowGen) (*Compressor, *Decompressor) {
 
 // compress1 compresses p as a standalone single-ACK frame (anchored).
 func compress1(c *Compressor, p *packet.Packet) ([]byte, bool) {
-	data, msn, ok := c.Compress(p)
+	data, msn, ok := c.Compress(nil, p)
 	if !ok {
 		return nil, false
 	}
@@ -81,7 +81,7 @@ type frame struct {
 func newFrame() *frame { return &frame{anchored: make(map[byte]bool)} }
 
 func (fr *frame) add(c *Compressor, p *packet.Packet) bool {
-	data, msn, ok := c.Compress(p)
+	data, msn, ok := c.Compress(nil, p)
 	if !ok {
 		return false
 	}
@@ -99,6 +99,13 @@ func sameHeader(a, b *packet.Packet) bool {
 	return bytes.Equal(a.Marshal(), b.Marshal())
 }
 
+// decompress runs d over one frame into a fresh Result.
+func decompress(d *Decompressor, frame []byte) (Result, error) {
+	var res Result
+	err := d.Decompress(frame, &res)
+	return res, err
+}
+
 func TestRoundtripSteadyState(t *testing.T) {
 	f := newFlow(true)
 	c, d := pair(f)
@@ -108,7 +115,7 @@ func TestRoundtripSteadyState(t *testing.T) {
 		if !ok {
 			t.Fatalf("ack %d: no context", i)
 		}
-		res, err := d.Decompress(data)
+		res, err := decompress(d, data)
 		if err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}
@@ -132,7 +139,7 @@ func TestSteadyStateSize(t *testing.T) {
 	c, _ := pair(f)
 	var last int
 	for i := 0; i < 10; i++ {
-		data, _, ok := c.Compress(f.ackPkt(2920))
+		data, _, ok := c.Compress(nil, f.ackPkt(2920))
 		if !ok {
 			t.Fatal("no context")
 		}
@@ -145,7 +152,7 @@ func TestSteadyStateSize(t *testing.T) {
 	ft := newFlow(true)
 	ct, _ := pair(ft)
 	for i := 0; i < 10; i++ {
-		data, _, ok := ct.Compress(ft.ackPkt(2920))
+		data, _, ok := ct.Compress(nil, ft.ackPkt(2920))
 		if !ok {
 			t.Fatal("no context")
 		}
@@ -159,8 +166,8 @@ func TestSteadyStateSize(t *testing.T) {
 func TestAnchorForm(t *testing.T) {
 	f := newFlow(false)
 	c, _ := pair(f)
-	c.Compress(f.ackPkt(2920)) // first post-anchor ACK travels as IR
-	data, msn, ok := c.Compress(f.ackPkt(2920))
+	c.Compress(nil, f.ackPkt(2920)) // first post-anchor ACK travels as IR
+	data, msn, ok := c.Compress(nil, f.ackPkt(2920))
 	if !ok {
 		t.Fatal("no context")
 	}
@@ -201,7 +208,7 @@ func TestCompressionRatioMatchesPaper(t *testing.T) {
 			totalOrig += orig.Len()
 			totalComp += len(fr.buf) - before
 		}
-		res, err := d.Decompress(fr.buf)
+		res, err := decompress(d, fr.buf)
 		if err != nil || res.Failures != 0 {
 			t.Fatalf("frame %d: err=%v failures=%d", frm, err, res.Failures)
 		}
@@ -228,7 +235,7 @@ func TestMultiAckFrame(t *testing.T) {
 		}
 		origs = append(origs, orig)
 	}
-	res, err := d.Decompress(fr.buf)
+	res, err := decompress(d, fr.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +258,13 @@ func TestMSNDedup(t *testing.T) {
 			t.Fatal("no context")
 		}
 	}
-	res, err := d.Decompress(fr.buf)
+	res, err := decompress(d, fr.buf)
 	if err != nil || len(res.Packets) != 3 {
 		t.Fatalf("first delivery: %v, %d packets", err, len(res.Packets))
 	}
 	// The identical frame retransmitted (paper Fig. 6): all duplicates,
 	// no deliveries, no failures.
-	res, err = d.Decompress(fr.buf)
+	res, err = decompress(d, fr.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +275,7 @@ func TestMSNDedup(t *testing.T) {
 	// A frame carrying the old ACKs plus a new one delivers only the new.
 	frame2 := append([]byte(nil), fr.buf...)
 	newOrig := f.ackPkt(2920)
-	data, msn, ok := c.Compress(newOrig)
+	data, msn, ok := c.Compress(nil, newOrig)
 	if !ok {
 		t.Fatal("no context")
 	}
@@ -276,7 +283,7 @@ func TestMSNDedup(t *testing.T) {
 	// chains off it in compact form.
 	frame2 = append(frame2, data...)
 	_ = msn
-	res, err = d.Decompress(frame2)
+	res, err = decompress(d, frame2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +309,7 @@ func TestCRCDetectsCorruption(t *testing.T) {
 		d2data, _ := compress1(c2, o2)
 		corrupted := bytes.Clone(d2data)
 		corrupted[i] ^= 0x5a
-		res, err := d2.Decompress(corrupted)
+		res, err := decompress(d2, corrupted)
 		if err != nil {
 			continue // parse error: fine, nothing delivered
 		}
@@ -320,7 +327,7 @@ func TestContextDamageAndRecovery(t *testing.T) {
 	// Deliver one compressed ACK normally.
 	a1 := f.ackPkt(2920)
 	d1, _ := compress1(c, a1)
-	if res, _ := d.Decompress(d1); len(res.Packets) != 1 {
+	if res, _ := decompress(d, d1); len(res.Packets) != 1 {
 		t.Fatal("setup delivery failed")
 	}
 	// Compress a2 but never deliver it (lost): contexts diverge.
@@ -331,7 +338,7 @@ func TestContextDamageAndRecovery(t *testing.T) {
 	// bogus delivery.
 	a3 := f.ackPkt(1460)
 	d3, _ := compress1(c, a3)
-	res, err := d.Decompress(d3)
+	res, err := decompress(d, d3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +360,7 @@ func TestContextDamageAndRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("no context after refresh")
 	}
-	res, err = d.Decompress(d5)
+	res, err = decompress(d, d5)
 	if err != nil || len(res.Packets) != 1 || !sameHeader(a5, res.Packets[0]) {
 		t.Errorf("recovery failed: err=%v packets=%d failures=%d", err, len(res.Packets), res.Failures)
 	}
@@ -367,7 +374,7 @@ func TestStaleNativeDoesNotDesync(t *testing.T) {
 	c, d := pair(f)
 	a1 := f.ackPkt(2920)
 	d1, _ := compress1(c, a1)
-	res, _ := d.Decompress(d1)
+	res, _ := decompress(d, d1)
 	if len(res.Packets) != 1 {
 		t.Fatal("setup")
 	}
@@ -376,7 +383,7 @@ func TestStaleNativeDoesNotDesync(t *testing.T) {
 	d.Observe(a1)
 	a2 := f.ackPkt(2920)
 	d2, _ := compress1(c, a2)
-	res, err := d.Decompress(d2)
+	res, err := decompress(d, d2)
 	if err != nil || len(res.Packets) != 1 || res.Failures != 0 {
 		t.Fatalf("stale native desynced: err=%v packets=%d failures=%d",
 			err, len(res.Packets), res.Failures)
@@ -389,10 +396,10 @@ func TestStaleNativeDoesNotDesync(t *testing.T) {
 func TestNoContextFailure(t *testing.T) {
 	f := newFlow(false)
 	c, _ := pair(f)
-	c.Compress(f.ackPkt(2920))  // IR form; skip it
-	dFresh := NewDecompressor() // never observed the flow
+	c.Compress(nil, f.ackPkt(2920)) // IR form; skip it
+	dFresh := NewDecompressor()     // never observed the flow
 	data, _ := compress1(c, f.ackPkt(2920))
-	res, err := dFresh.Decompress(data)
+	res, err := decompress(dFresh, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +420,7 @@ func TestIRBootstrapsFreshDecompressor(t *testing.T) {
 	dFresh := NewDecompressor() // never observed the flow
 	orig := f.ackPkt(2920)
 	ir, _ := compress1(c, orig)
-	res, err := dFresh.Decompress(ir)
+	res, err := decompress(dFresh, ir)
 	if err != nil || len(res.Packets) != 1 || res.Failures != 0 {
 		t.Fatalf("IR bootstrap: err=%v packets=%d failures=%d", err, len(res.Packets), res.Failures)
 	}
@@ -423,7 +430,7 @@ func TestIRBootstrapsFreshDecompressor(t *testing.T) {
 	// The context the IR established carries the deltas that follow.
 	next := f.ackPkt(2920)
 	data, _ := compress1(c, next)
-	res, err = dFresh.Decompress(data)
+	res, err = decompress(dFresh, data)
 	if err != nil || len(res.Packets) != 1 || res.Failures != 0 {
 		t.Fatalf("delta after IR: err=%v packets=%d failures=%d", err, len(res.Packets), res.Failures)
 	}
@@ -438,26 +445,26 @@ func TestIRDedupAndNoRegression(t *testing.T) {
 	f := newFlow(false)
 	c, d := pair(f)
 	ir, _ := compress1(c, f.ackPkt(2920))
-	if res, _ := d.Decompress(ir); len(res.Packets) != 1 {
+	if res, _ := decompress(d, ir); len(res.Packets) != 1 {
 		t.Fatal("IR not delivered")
 	}
 	// Deltas advance the context past the IR.
 	for i := 0; i < 3; i++ {
 		data, _ := compress1(c, f.ackPkt(2920))
-		if res, _ := d.Decompress(data); len(res.Packets) != 1 {
+		if res, _ := decompress(d, data); len(res.Packets) != 1 {
 			t.Fatalf("delta %d not delivered", i)
 		}
 	}
 	// The same IR bytes again (a §3.4 re-ride): duplicate, no failure,
 	// and the context still decodes fresh deltas.
-	res, err := d.Decompress(ir)
+	res, err := decompress(d, ir)
 	if err != nil || res.Duplicates != 1 || res.Failures != 0 || len(res.Packets) != 0 {
 		t.Fatalf("IR re-ride: err=%v dups=%d failures=%d packets=%d",
 			err, res.Duplicates, res.Failures, len(res.Packets))
 	}
 	next := f.ackPkt(2920)
 	data, _ := compress1(c, next)
-	r2, _ := d.Decompress(data)
+	r2, _ := decompress(d, data)
 	if len(r2.Packets) != 1 || !sameHeader(next, r2.Packets[0]) {
 		t.Fatal("context damaged by IR re-ride")
 	}
@@ -466,14 +473,14 @@ func TestIRDedupAndNoRegression(t *testing.T) {
 func TestCompressRequiresContext(t *testing.T) {
 	c := NewCompressor()
 	f := newFlow(false)
-	if _, _, ok := c.Compress(f.ackPkt(2920)); ok {
+	if _, _, ok := c.Compress(nil, f.ackPkt(2920)); ok {
 		t.Error("compressed without a context")
 	}
 	// Non-ACK packets are refused.
 	p := f.ackPkt(0)
 	p.TCP.Flags |= packet.FlagSYN
 	c.Observe(p) // must be ignored
-	if _, _, ok := c.Compress(p); ok {
+	if _, _, ok := c.Compress(nil, p); ok {
 		t.Error("compressed a SYN")
 	}
 }
@@ -487,7 +494,7 @@ func TestWindowChange(t *testing.T) {
 	if !ok {
 		t.Fatal("no context")
 	}
-	res, err := d.Decompress(data)
+	res, err := decompress(d, data)
 	if err != nil || len(res.Packets) != 1 {
 		t.Fatalf("err=%v packets=%d", err, len(res.Packets))
 	}
@@ -503,15 +510,13 @@ func TestSACKBlocks(t *testing.T) {
 	f := newFlow(true)
 	c, d := pair(f)
 	orig := f.ackPkt(0) // dup ACK with SACK
-	orig.TCP.Opt.SACKBlocks = [][2]uint32{
-		{orig.TCP.Ack + 2920, orig.TCP.Ack + 5840},
-		{orig.TCP.Ack + 8760, orig.TCP.Ack + 10220},
-	}
+	orig.TCP.Opt.AppendSACK(orig.TCP.Ack+2920, orig.TCP.Ack+5840)
+	orig.TCP.Opt.AppendSACK(orig.TCP.Ack+8760, orig.TCP.Ack+10220)
 	data, ok := compress1(c, orig)
 	if !ok {
 		t.Fatal("no context")
 	}
-	res, err := d.Decompress(data)
+	res, err := decompress(d, data)
 	if err != nil || len(res.Packets) != 1 {
 		t.Fatalf("err=%v packets=%d failures=%d", err, len(res.Packets), res.Failures)
 	}
@@ -521,8 +526,8 @@ func TestSACKBlocks(t *testing.T) {
 	}
 	// Four blocks exceed the format: refuse, forcing native transmission.
 	big := f.ackPkt(0)
-	big.TCP.Opt.SACKBlocks = make([][2]uint32, 4)
-	if _, _, ok := c.Compress(big); ok {
+	big.TCP.Opt.NumSACK = 4
+	if _, _, ok := c.Compress(nil, big); ok {
 		t.Error("compressed 4 SACK blocks")
 	}
 }
@@ -554,7 +559,7 @@ func TestBatchMultiFlow(t *testing.T) {
 			origs = append(origs, orig)
 		}
 	}
-	res, err := d.Decompress(fr.buf)
+	res, err := decompress(d, fr.buf)
 	if err != nil || res.Failures != 0 {
 		t.Fatalf("err=%v failures=%d", err, res.Failures)
 	}
@@ -574,14 +579,14 @@ func TestMissingAnchorIsFailureNotCorruption(t *testing.T) {
 	f := newFlow(false)
 	c, d := pair(f)
 	if ir, _ := compress1(c, f.ackPkt(2920)); len(ir) > 0 {
-		d.Decompress(ir) // consume the IR so the next form is compact
+		decompress(d, ir) // consume the IR so the next form is compact
 	}
 	orig := f.ackPkt(2920)
-	data, _, ok := c.Compress(orig) // compact, never anchored
+	data, _, ok := c.Compress(nil, orig) // compact, never anchored
 	if !ok {
 		t.Fatal("no context")
 	}
-	res, err := d.Decompress(data)
+	res, err := decompress(d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +628,7 @@ func TestCIDCollisionFallsBackToNative(t *testing.T) {
 	}
 	// The real property: a valid context owned by flow A never absorbs
 	// or serves another tuple.
-	if _, _, ok := c.Compress(pb); ok {
+	if _, _, ok := c.Compress(nil, pb); ok {
 		t.Error("compressed against a foreign context")
 	}
 }
@@ -639,7 +644,7 @@ func TestMSNWraparound(t *testing.T) {
 		if !ok {
 			t.Fatal("no context")
 		}
-		res, err := d.Decompress(data)
+		res, err := decompress(d, data)
 		if err != nil || len(res.Packets) != 1 {
 			t.Fatalf("i=%d err=%v packets=%d dups=%d failures=%d",
 				i, err, len(res.Packets), res.Duplicates, res.Failures)
@@ -656,11 +661,11 @@ func TestTruncatedFrames(t *testing.T) {
 	data, _ := compress1(c, f.ackPkt(2920))
 	for n := 1; n < len(data); n++ {
 		d2 := NewDecompressor()
-		if res, err := d2.Decompress(data[:n]); err == nil && len(res.Packets) > 0 {
+		if res, err := decompress(d2, data[:n]); err == nil && len(res.Packets) > 0 {
 			t.Errorf("truncation to %d bytes delivered a packet", n)
 		}
 	}
-	if _, err := NewDecompressor().Decompress([]byte{0x01}); err == nil {
+	if _, err := decompress(NewDecompressor(), []byte{0x01}); err == nil {
 		t.Error("1-byte frame accepted")
 	}
 }
@@ -681,7 +686,7 @@ func TestRoundtripProperty(t *testing.T) {
 			if !ok {
 				return false
 			}
-			res, err := d.Decompress(data)
+			res, err := decompress(d, data)
 			if err != nil || len(res.Packets) != 1 || res.Failures != 0 {
 				return false
 			}
@@ -718,9 +723,11 @@ func TestCRC8KnownBehaviour(t *testing.T) {
 func BenchmarkCompress(b *testing.B) {
 	f := newFlow(true)
 	c, _ := pair(f)
+	buf := make([]byte, 0, MaxRecordLen)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := c.Compress(f.ackPkt(2920)); !ok {
+		var ok bool
+		if buf, _, ok = c.Compress(buf[:0], f.ackPkt(2920)); !ok {
 			b.Fatal("no context")
 		}
 	}
@@ -734,11 +741,17 @@ func BenchmarkDecompress(b *testing.B) {
 		data, _ := compress1(c, f.ackPkt(2920))
 		frames[i] = data
 	}
+	var pool packet.Pool
+	d.Packets = &pool
+	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Decompress(frames[i%len(frames)]); err != nil {
+		if err := d.Decompress(frames[i%len(frames)], &res); err != nil {
 			b.Fatal(err)
+		}
+		for _, p := range res.Packets {
+			p.Release()
 		}
 	}
 }
@@ -751,7 +764,7 @@ func TestDamageSurface(t *testing.T) {
 	f := newFlow(false)
 	c, d := pair(f)
 	ir, _ := compress1(c, f.ackPkt(2920))
-	if res, _ := d.Decompress(ir); len(res.Packets) != 1 {
+	if res, _ := decompress(d, ir); len(res.Packets) != 1 {
 		t.Fatal("setup: IR not delivered")
 	}
 
@@ -760,7 +773,7 @@ func TestDamageSurface(t *testing.T) {
 	if !c.ResyncNeeded() {
 		t.Error("compressor ResyncNeeded false after Invalidate")
 	}
-	if _, _, ok := c.Compress(f.ackPkt(2920)); ok {
+	if _, _, ok := c.Compress(nil, f.ackPkt(2920)); ok {
 		t.Fatal("invalidated context still compresses")
 	}
 	native := f.ackPkt(2920)
@@ -773,7 +786,7 @@ func TestDamageSurface(t *testing.T) {
 	if !ok {
 		t.Fatal("healed context refuses to compress")
 	}
-	if res, _ := d.Decompress(data); len(res.Packets) != 1 {
+	if res, _ := decompress(d, data); len(res.Packets) != 1 {
 		t.Fatal("post-heal IR not delivered")
 	}
 
@@ -783,7 +796,7 @@ func TestDamageSurface(t *testing.T) {
 		t.Error("decompressor ResyncNeeded false after Invalidate")
 	}
 	delta, _ := compress1(c, f.ackPkt(2920))
-	res, _ := d.Decompress(delta)
+	res, _ := decompress(d, delta)
 	if res.FailNoContext != 1 || len(res.Packets) != 0 {
 		t.Fatalf("damaged context accepted a delta: failures=%d packets=%d",
 			res.FailNoContext, len(res.Packets))
@@ -793,7 +806,7 @@ func TestDamageSurface(t *testing.T) {
 	c.Refresh(f.tuple)
 	heal := f.ackPkt(2920)
 	irData, _ := compress1(c, heal)
-	res, _ = d.Decompress(irData)
+	res, _ = decompress(d, irData)
 	if len(res.Packets) != 1 || !sameHeader(heal, res.Packets[0]) {
 		t.Fatal("IR did not heal the damaged decompressor context")
 	}

@@ -97,6 +97,12 @@ type Config struct {
 	// expiries, congestion-window changes), labeled by LocalPort.
 	// Tracers observe only; they never perturb protocol state.
 	Tracer trace.Tracer
+
+	// Packets is the pool segments are drawn from (nil: fresh packets
+	// that are never recycled). The endpoint drops its creation
+	// reference once Output returns; see the packet package's ownership
+	// rule.
+	Packets *packet.Pool
 }
 
 func (c Config) withDefaults() Config {
@@ -147,7 +153,8 @@ type Endpoint struct {
 	sched *sim.Scheduler
 	cfg   Config
 
-	// Output transmits an IP packet toward the peer. Required.
+	// Output transmits an IP packet toward the peer. Required. An
+	// Output that keeps the packet past the call must Retain it.
 	Output func(*packet.Packet)
 	// OnDeliver is called with each in-order payload span delivered
 	// to the application (receiver side).
@@ -293,30 +300,18 @@ func (ep *Endpoint) nowTS() uint32 {
 	return uint32(ep.sched.Now() / sim.Millisecond)
 }
 
-// newPacket builds an IP/TCP packet toward the peer. The packet and
-// its TCP header share one allocation — they share a lifetime, and
-// this is the per-segment hot path.
+// newPacket builds an IP/TCP packet toward the peer, drawn from the
+// configured pool — this is the per-segment hot path. The caller
+// sends it with output.
 func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packet {
 	ep.ipID++
-	pt := &struct {
-		p packet.Packet
-		t packet.TCP
-	}{
-		p: packet.Packet{
-			IP: packet.IPv4{
-				TTL: 64, Protocol: packet.ProtoTCP, ID: ep.ipID,
-				Src: ep.cfg.Local, Dst: ep.cfg.Remote,
-			},
-			PayloadLen: payload,
-		},
-		t: packet.TCP{
-			SrcPort: ep.cfg.LocalPort, DstPort: ep.cfg.RemotePort,
-			Seq: seq, Flags: flags,
-			Window: uint16(ep.cfg.RcvWindow >> ep.cfg.WindowScale),
-		},
-	}
-	p := &pt.p
-	p.TCP = &pt.t
+	p := ep.cfg.Packets.Get(packet.ProtoTCP)
+	p.IP.TTL, p.IP.ID = 64, ep.ipID
+	p.IP.Src, p.IP.Dst = ep.cfg.Local, ep.cfg.Remote
+	p.PayloadLen = payload
+	p.TCP.SrcPort, p.TCP.DstPort = ep.cfg.LocalPort, ep.cfg.RemotePort
+	p.TCP.Seq, p.TCP.Flags = seq, flags
+	p.TCP.Window = uint16(ep.cfg.RcvWindow >> ep.cfg.WindowScale)
 	if flags&packet.FlagACK != 0 {
 		p.TCP.Ack = ep.rcvNxt
 	}
@@ -326,6 +321,13 @@ func (ep *Endpoint) newPacket(flags byte, seq uint32, payload int) *packet.Packe
 		p.TCP.Opt.TSEcr = ep.tsRecent
 	}
 	return p
+}
+
+// output hands a newPacket segment to Output and drops the creation
+// reference: a holder that keeps p has retained it by now.
+func (ep *Endpoint) output(p *packet.Packet) {
+	ep.Output(p)
+	p.Release()
 }
 
 func (ep *Endpoint) sendSyn(ack bool) {
@@ -350,7 +352,7 @@ func (ep *Endpoint) sendSyn(ack bool) {
 		p.TCP.Opt.TSVal = ep.nowTS()
 		p.TCP.Opt.TSEcr = ep.tsRecent
 	}
-	ep.Output(p)
+	ep.output(p)
 }
 
 // Input processes a packet from the network.

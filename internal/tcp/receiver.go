@@ -147,15 +147,15 @@ func (ep *Endpoint) sendAckDup(dup interval) {
 			max = 4
 		}
 		if dup.e != dup.s {
-			p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{dup.s, dup.e})
+			p.TCP.Opt.AppendSACK(dup.s, dup.e)
 		}
 		for _, iv := range ep.ooo {
-			if len(p.TCP.Opt.SACKBlocks) >= max {
+			if int(p.TCP.Opt.NumSACK) >= max {
 				break
 			}
-			p.TCP.Opt.SACKBlocks = append(p.TCP.Opt.SACKBlocks, [2]uint32{iv.s, iv.e})
+			p.TCP.Opt.AppendSACK(iv.s, iv.e)
 		}
 	}
 	ep.Stats.PureAcksSent++
-	ep.Output(p)
+	ep.output(p)
 }

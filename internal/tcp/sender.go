@@ -63,7 +63,7 @@ func (ep *Endpoint) trySend() {
 				n-- // final slot is the FIN, resent by maybeSendFin/RTO path
 				if n == 0 {
 					p := ep.newPacket(packet.FlagFIN|packet.FlagACK, ep.sndNxt, 0)
-					ep.Output(p)
+					ep.output(p)
 					ep.Stats.Retransmits++
 					ep.sndNxt = ep.sndMax
 					continue
@@ -115,7 +115,7 @@ func (ep *Endpoint) maybeSendFin() {
 	p := ep.newPacket(packet.FlagFIN|packet.FlagACK, ep.sndNxt, 0)
 	ep.sndNxt++
 	ep.sndMax = ep.sndNxt
-	ep.Output(p)
+	ep.output(p)
 	ep.armRTXIfIdle()
 }
 
@@ -134,7 +134,7 @@ func (ep *Endpoint) emitSegment(seq uint32, n int, rtx bool) {
 		ep.rttAt = ep.sched.Now()
 		ep.rttValid = true
 	}
-	ep.Output(p)
+	ep.output(p)
 }
 
 // handleAck processes the acknowledgment fields of an incoming segment.
@@ -143,7 +143,7 @@ func (ep *Endpoint) handleAck(p *packet.Packet) {
 	ack := t.Ack
 	ep.peerWnd = uint32(t.Window) << ep.peerWScale
 	if ep.sackEnabled {
-		ep.absorbSACK(t.Ack, t.Opt.SACKBlocks)
+		ep.absorbSACK(t.Ack, t.Opt.SACKBlocks())
 	}
 
 	switch {
@@ -162,7 +162,7 @@ func (ep *Endpoint) handleAck(p *packet.Packet) {
 }
 
 func hasDSACK(t *packet.TCP) bool {
-	return len(t.Opt.SACKBlocks) > 0 && !seqGT(t.Opt.SACKBlocks[0][1], t.Ack)
+	return t.Opt.NumSACK > 0 && !seqGT(t.Opt.SACK[0][1], t.Ack)
 }
 
 func (ep *Endpoint) newAck(ack uint32, t *packet.TCP) {
@@ -384,7 +384,10 @@ func (ep *Endpoint) pruneSACK() {
 	ep.sacked = kept
 }
 
-// insertInterval merges iv into a sorted, disjoint interval list.
+// insertInterval merges iv into a sorted, disjoint interval list, in
+// place: intervals iv overlaps or touches are absorbed into it, the
+// rest keep their order, and iv goes before the first remaining one
+// that starts after it.
 func insertInterval(list []interval, iv interval) []interval {
 	out := list[:0]
 	for _, cur := range list {
@@ -402,20 +405,17 @@ func insertInterval(list []interval, iv interval) []interval {
 			}
 		}
 	}
-	// Insert iv preserving sequence order.
-	res := make([]interval, 0, len(out)+1)
-	inserted := false
-	for _, cur := range out {
-		if !inserted && seqGT(cur.s, iv.s) {
-			res = append(res, iv)
-			inserted = true
+	at := len(out)
+	for i, cur := range out {
+		if seqGT(cur.s, iv.s) {
+			at = i
+			break
 		}
-		res = append(res, cur)
 	}
-	if !inserted {
-		res = append(res, iv)
-	}
-	return res
+	out = append(out, interval{})
+	copy(out[at+1:], out[at:])
+	out[at] = iv
+	return out
 }
 
 // RTO management (RFC 6298).
@@ -505,7 +505,7 @@ func (ep *Endpoint) onRTO() {
 	if ep.finSent && ep.sndMax-ep.sndUna == 1 {
 		// Only the FIN is outstanding.
 		p := ep.newPacket(packet.FlagFIN|packet.FlagACK, ep.sndUna, 0)
-		ep.Output(p)
+		ep.output(p)
 		ep.Stats.Retransmits++
 		ep.sndNxt = ep.sndMax
 	} else {

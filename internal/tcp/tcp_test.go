@@ -180,7 +180,7 @@ func TestSACKBlocksGenerated(t *testing.T) {
 			dropped = true
 			return true
 		}
-		if dir == "b2a" && len(p.TCP.Opt.SACKBlocks) > 0 {
+		if dir == "b2a" && p.TCP.Opt.NumSACK > 0 {
 			sawSACK = true
 		}
 		return false
@@ -436,5 +436,52 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		if bb.Stats.BytesDelivered != 1<<20 {
 			b.Fatal("incomplete transfer")
 		}
+	}
+}
+
+// TestPooledTransferRecyclesSegments runs a transfer with both
+// endpoints drawing from one pool and the wire retaining each segment
+// while it is in flight: the pool recycles segments (far fewer
+// distinct packets than segments carry the transfer), and the connection
+// behaves exactly as it does with fresh, never-recycled packets.
+func TestPooledTransferRecyclesSegments(t *testing.T) {
+	run := func(pool *packet.Pool) (Stats, Stats, int) {
+		sched := sim.NewScheduler(1)
+		cfgA, cfgB := DefaultConfig(), DefaultConfig()
+		cfgA.Local, cfgA.LocalPort = packet.IP(10, 0, 0, 1), 5001
+		cfgA.Remote, cfgA.RemotePort = packet.IP(10, 0, 0, 2), 6001
+		cfgB.Local, cfgB.LocalPort = packet.IP(10, 0, 0, 2), 6001
+		cfgB.Remote, cfgB.RemotePort = packet.IP(10, 0, 0, 1), 5001
+		cfgA.Packets, cfgB.Packets = pool, pool
+		a, b := NewEndpoint(sched, cfgA), NewEndpoint(sched, cfgB)
+		seen := make(map[*packet.Packet]bool)
+		wire := func(to *Endpoint) func(*packet.Packet) {
+			return func(p *packet.Packet) {
+				seen[p] = true
+				p.Retain()
+				sched.After(sim.Millisecond, func() {
+					to.Input(p)
+					p.Release()
+				})
+			}
+		}
+		a.Output, b.Output = wire(b), wire(a)
+		b.Listen()
+		a.Send(1 << 20)
+		a.Connect()
+		sched.RunUntil(10 * sim.Second)
+		if !b.Done() {
+			t.Fatalf("transfer did not finish: a=%s b=%s", a.State(), b.State())
+		}
+		return a.Stats, b.Stats, len(seen)
+	}
+	freshA, freshB, freshN := run(nil)
+	var pool packet.Pool
+	pooledA, pooledB, pooledN := run(&pool)
+	if pooledA != freshA || pooledB != freshB {
+		t.Errorf("pooled run differs:\n a %+v vs %+v\n b %+v vs %+v", pooledA, freshA, pooledB, freshB)
+	}
+	if pooledN*2 > freshN {
+		t.Errorf("%d distinct packets carried %d segments: the pool is not recycling", pooledN, freshN)
 	}
 }
