@@ -42,7 +42,12 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Transmission describes one PPDU in flight.
+// Transmission describes one PPDU in flight. The medium recycles
+// Transmissions through a per-Medium freelist: the pointer Transmit
+// returns, and the one EndRx receives, stays valid only until the
+// transmission's finish event has delivered it to every receiver.
+// Released transmissions are zeroed, so a holder that keeps one past
+// that point sees ID 0 and a nil Frame rather than another PPDU.
 type Transmission struct {
 	// ID numbers transmissions from 1 in transmit order; trace
 	// tx_start / tx_end / collision records correlate through it.
@@ -159,8 +164,8 @@ type Medium struct {
 	// one collision domain, whatever the positions.
 	Geometry *Geometry
 
-	// Per-radio state, built lazily by ensureSpatial.
-	radioIdx   map[Radio]int
+	// Per-radio state, built lazily by ensureSpatial and indexed by
+	// the radio index Attach returns.
 	powerMW    [][]float64 // symmetric rx-power matrix (see ensureSpatial)
 	txOwn      []int       // in-flight transmissions per source radio
 	senseBusy  []bool      // last carrier state reported to each radio
@@ -173,6 +178,7 @@ type Medium struct {
 	scratchSum []float64
 	scratchOut []Outcome
 	interfFree [][]float64
+	txFree     []*Transmission // finished transmissions, zeroed
 
 	// Stats.
 	TxCount       uint64
@@ -204,8 +210,12 @@ func New(sched *sim.Scheduler, model ErrorModel) *Medium {
 	return m
 }
 
-// Attach registers a radio with the medium.
-func (m *Medium) Attach(r Radio) { m.radios = append(m.radios, r) }
+// Attach registers a radio with the medium and returns its radio
+// index: the handle the radio transmits with (Transmit's src).
+func (m *Medium) Attach(r Radio) int {
+	m.radios = append(m.radios, r)
+	return len(m.radios) - 1
+}
 
 // Busy reports whether any transmission is in flight.
 func (m *Medium) Busy() bool { return len(m.activeList) > 0 }
@@ -233,24 +243,21 @@ type TxMeta struct {
 // reset) by that Transmit.
 func (m *Medium) StageTx(meta TxMeta) { m.nextMeta = meta }
 
-// Transmit starts sending frame at rate; the PPDU carries length
-// payload bytes. Completion (and delivery at every other radio) is
-// scheduled automatically. Returns the transmission for tracing.
+// Transmit starts sending frame from the radio with index src (as
+// returned by Attach) at rate; the PPDU carries length payload bytes.
+// Completion (and delivery at every other radio) is scheduled
+// automatically. The returned transmission is valid until its finish
+// event has run (see Transmission).
 //
 // Transmit accrues interference maxima on every overlapping
 // transmission, marks coupled collisions (traced in transmit order of
 // the ongoing frames), registers the transmission, and re-evaluates
 // per-radio carrier state. It draws no randomness.
-func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Transmission {
+func (m *Medium) Transmit(src int, rate phy.Rate, length int, frame any) *Transmission {
 	now := m.sched.Now()
-	tx := &Transmission{
-		Source: src,
-		Rate:   rate,
-		Length: length,
-		Frame:  frame,
-		Start:  now,
-		End:    now + phy.FrameDuration(rate, length),
-	}
+	tx := m.getTx()
+	tx.Source, tx.Rate, tx.Length, tx.Frame = m.radios[src], rate, length, frame
+	tx.Start, tx.End = now, now+phy.FrameDuration(rate, length)
 	m.TxCount++
 	tx.ID = m.TxCount
 	if m.Tracer != nil {
@@ -261,7 +268,7 @@ func (m *Medium) Transmit(src Radio, rate phy.Rate, length int, frame any) *Tran
 	}
 	m.ensureSpatial()
 	nR := len(m.radios)
-	si := m.radioIdx[src]
+	si := src
 	tx.srcIdx = si
 	row := m.powerMW[si]
 	// Sensed-energy bookkeeping: the new transmission's power lands at
@@ -437,11 +444,23 @@ func (m *Medium) finish(tx *Transmission) {
 	}
 	if tx.interfMax != nil {
 		m.interfFree = append(m.interfFree, tx.interfMax)
-		tx.interfMax = nil
 	}
+	// Every receiver has seen the frame: poison and recycle it.
+	*tx = Transmission{}
+	m.txFree = append(m.txFree, tx)
 	// Carrier re-evaluation strictly after deliveries: receivers see
 	// the frame before timers that an idle transition may restart.
 	m.updateCarrier()
+}
+
+// getTx returns a zeroed Transmission from the freelist, or a new one.
+func (m *Medium) getTx() *Transmission {
+	if k := len(m.txFree); k > 0 {
+		tx := m.txFree[k-1]
+		m.txFree = m.txFree[:k-1]
+		return tx
+	}
+	return &Transmission{}
 }
 
 // Corrupted draws whether a decode unit of length bytes from src

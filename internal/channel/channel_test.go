@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -17,6 +18,7 @@ type testRadio struct {
 	idle     int
 	received []Outcome
 	frames   []any
+	id       int // radio index from Attach
 }
 
 func (r *testRadio) Position() Pos { return r.pos }
@@ -32,14 +34,14 @@ func newTestMedium(model ErrorModel) (*sim.Scheduler, *Medium, *testRadio, *test
 	m := New(s, model)
 	a := &testRadio{}
 	b := &testRadio{pos: Pos{X: 5}}
-	m.Attach(a)
-	m.Attach(b)
+	a.id = m.Attach(a)
+	b.id = m.Attach(b)
 	return s, m, a, b
 }
 
 func TestDeliverySingleTx(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
-	m.Transmit(a, phy.RateA54, 1500, "hello")
+	m.Transmit(a.id, phy.RateA54, 1500, "hello")
 	s.Run()
 	if len(b.received) != 1 || b.received[0] != RxOK {
 		t.Fatalf("b received %v", b.received)
@@ -61,7 +63,7 @@ func TestDeliverySingleTx(t *testing.T) {
 func TestDeliveryTiming(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
 	var deliveredAt sim.Time
-	s.At(0, func() { m.Transmit(a, phy.RateA24, 14, "ack") })
+	s.At(0, func() { m.Transmit(a.id, phy.RateA24, 14, "ack") })
 	s.Run()
 	_ = b
 	deliveredAt = s.Now()
@@ -73,10 +75,10 @@ func TestDeliveryTiming(t *testing.T) {
 func TestCollisionBothLost(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
 	c := &testRadio{pos: Pos{Y: 3}}
-	m.Attach(c)
+	c.id = m.Attach(c)
 	// a and b transmit overlapping frames; c must see both as collided.
-	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, "A") })
-	s.At(10*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1500, "B") })
+	s.At(0, func() { m.Transmit(a.id, phy.RateA54, 1500, "A") })
+	s.At(10*sim.Microsecond, func() { m.Transmit(b.id, phy.RateA54, 1500, "B") })
 	s.Run()
 	if len(c.received) != 2 {
 		t.Fatalf("c received %d frames", len(c.received))
@@ -98,8 +100,8 @@ func TestCollisionBothLost(t *testing.T) {
 func TestNonOverlappingNoCollision(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
 	d := phy.FrameDuration(phy.RateA54, 1500)
-	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, 1) })
-	s.At(d+sim.Microsecond, func() { m.Transmit(a, phy.RateA54, 1500, 2) }) // gap, no overlap
+	s.At(0, func() { m.Transmit(a.id, phy.RateA54, 1500, 1) })
+	s.At(d+sim.Microsecond, func() { m.Transmit(a.id, phy.RateA54, 1500, 2) }) // gap, no overlap
 	s.Run()
 	if len(b.received) != 2 {
 		t.Fatalf("received %d", len(b.received))
@@ -117,10 +119,10 @@ func TestNonOverlappingNoCollision(t *testing.T) {
 func TestThreeWayCollision(t *testing.T) {
 	s, m, a, b := newTestMedium(nil)
 	c := &testRadio{}
-	m.Attach(c)
-	s.At(0, func() { m.Transmit(a, phy.RateA6, 100, nil) })
-	s.At(sim.Microsecond, func() { m.Transmit(b, phy.RateA6, 100, nil) })
-	s.At(2*sim.Microsecond, func() { m.Transmit(c, phy.RateA6, 100, nil) })
+	c.id = m.Attach(c)
+	s.At(0, func() { m.Transmit(a.id, phy.RateA6, 100, nil) })
+	s.At(sim.Microsecond, func() { m.Transmit(b.id, phy.RateA6, 100, nil) })
+	s.At(2*sim.Microsecond, func() { m.Transmit(c.id, phy.RateA6, 100, nil) })
 	s.Run()
 	if m.CollidedTx != 3 {
 		t.Errorf("CollidedTx = %d, want 3", m.CollidedTx)
@@ -133,7 +135,7 @@ func TestBusyTracking(t *testing.T) {
 		t.Error("medium busy at start")
 	}
 	s.At(0, func() {
-		m.Transmit(a, phy.RateA6, 1000, nil)
+		m.Transmit(a.id, phy.RateA6, 1000, nil)
 		if !m.Busy() {
 			t.Error("medium idle during tx")
 		}
@@ -216,8 +218,8 @@ func TestGilbertElliottForkPerMedium(t *testing.T) {
 		sched := sim.NewScheduler(42)
 		m := New(sched, tmpl)
 		a, b := &testRadio{}, &testRadio{pos: Pos{X: 5}}
-		m.Attach(a)
-		m.Attach(b)
+		a.id = m.Attach(a)
+		b.id = m.Attach(b)
 		out := make([]bool, 2000)
 		for i := range out {
 			out[i] = m.Corrupted(a, b, phy.RateA54, 1500)
@@ -390,8 +392,8 @@ func TestSNRModelAsErrorModel(t *testing.T) {
 	a := &testRadio{}
 	// ~3 m: strong signal at 6 Mbps.
 	b := &testRadio{pos: Pos{X: 3}}
-	m.Attach(a)
-	m.Attach(b)
+	a.id = m.Attach(a)
+	b.id = m.Attach(b)
 	ok := 0
 	for i := 0; i < 100; i++ {
 		if !m.Corrupted(a, b, phy.RateA6, 1500) {
@@ -404,7 +406,7 @@ func TestSNRModelAsErrorModel(t *testing.T) {
 	// At 60 m the paper-style office model should be mostly dead for
 	// 54 Mbps frames.
 	c := &testRadio{pos: Pos{X: 60}}
-	m.Attach(c)
+	c.id = m.Attach(c)
 	ok = 0
 	for i := 0; i < 100; i++ {
 		if !m.Corrupted(a, c, phy.RateA54, 1500) {
@@ -436,12 +438,12 @@ func BenchmarkMediumTransmit(b *testing.B) {
 	m := New(s, nil)
 	a := &testRadio{}
 	r := &testRadio{}
-	m.Attach(a)
-	m.Attach(r)
+	a.id = m.Attach(a)
+	r.id = m.Attach(r)
 	b.ReportAllocs()
 	d := phy.FrameDuration(phy.RateA54, 1500)
 	for i := 0; i < b.N; i++ {
-		m.Transmit(a, phy.RateA54, 1500, nil)
+		m.Transmit(a.id, phy.RateA54, 1500, nil)
 		s.RunUntil(s.Now() + d)
 	}
 }
@@ -465,5 +467,102 @@ func TestIndependentComposition(t *testing.T) {
 	}
 	if p := Independent().LossProb(nil, nil, phy.RateA54, 1500); p != 0 {
 		t.Errorf("empty Independent = %v, want 0 (NoLoss)", p)
+	}
+}
+
+// inspectRadio records what a transmission looks like from inside
+// EndRx: the fields a MAC reads while the medium delivers it.
+type inspectRadio struct {
+	testRadio
+	seen []txView
+}
+
+type txView struct {
+	id    uint64
+	frame any
+	rate  phy.Rate
+}
+
+func (r *inspectRadio) EndRx(tx *Transmission, o Outcome) {
+	r.seen = append(r.seen, txView{tx.ID, tx.Frame, tx.Rate})
+}
+
+// TestRecycledTransmissionNeverStale drives rounds of 3-way overlaps,
+// so finished Transmissions are recycled into later ones while others
+// are still on the air, and checks that every receiver sees, inside
+// EndRx, exactly the ID, frame and rate its transmission was started
+// with. A Transmission kept past its finish is zeroed (poisoned).
+func TestRecycledTransmissionNeverStale(t *testing.T) {
+	s := sim.NewScheduler(1)
+	m := New(s, nil)
+	radios := make([]*inspectRadio, 4)
+	for i := range radios {
+		radios[i] = &inspectRadio{}
+		radios[i].id = m.Attach(radios[i])
+	}
+	rates := []phy.Rate{phy.RateA6, phy.RateA24, phy.RateA54}
+	want := map[uint64]txView{}
+	var kept []*Transmission
+	const rounds = 5
+	for round := 0; round < rounds; round++ {
+		base := sim.Time(round) * sim.Millisecond
+		for k := 0; k < 3; k++ {
+			k, round := k, round
+			s.At(base+sim.Time(k)*3*sim.Microsecond, func() {
+				frame := fmt.Sprintf("r%d-tx%d", round, k)
+				tx := m.Transmit(radios[k].id, rates[k], 200+100*k, frame)
+				want[tx.ID] = txView{tx.ID, frame, rates[k]}
+				kept = append(kept, tx)
+			})
+		}
+	}
+	s.Run()
+	if len(want) != 3*rounds {
+		t.Fatalf("%d distinct transmission IDs, want %d", len(want), 3*rounds)
+	}
+	if len(m.txFree) > 3 {
+		t.Errorf("freelist holds %d transmissions, want at most 3 (recycling)", len(m.txFree))
+	}
+	for i, r := range radios {
+		// Radio 3 never transmits and hears all frames; the others miss
+		// their own 5.
+		wantN := 3 * rounds
+		if i < 3 {
+			wantN -= rounds
+		}
+		if len(r.seen) != wantN {
+			t.Errorf("radio %d saw %d frames, want %d", i, len(r.seen), wantN)
+		}
+		for _, v := range r.seen {
+			if w, ok := want[v.id]; !ok || v != w {
+				t.Errorf("radio %d saw %+v inside EndRx, want %+v", i, v, w)
+			}
+		}
+	}
+	for _, tx := range kept {
+		if tx.ID != 0 || tx.Frame != nil || tx.Source != nil {
+			t.Errorf("transmission kept past finish not poisoned: %+v", *tx)
+		}
+	}
+}
+
+// TestTransmitAllocFree: steady-state transmissions are recycled, so
+// Transmit and its finish allocate nothing once the medium is warm.
+func TestTransmitAllocFree(t *testing.T) {
+	s := sim.NewScheduler(1)
+	m := New(s, nil)
+	a, b, c := &testRadio{}, &testRadio{}, &testRadio{}
+	a.id, b.id, c.id = m.Attach(a), m.Attach(b), m.Attach(c)
+	d := phy.FrameDuration(phy.RateA54, 1500)
+	round := func() {
+		m.Transmit(a.id, phy.RateA54, 1500, nil)
+		m.Transmit(b.id, phy.RateA54, 1500, nil) // overlap: interference buffers too
+		s.RunUntil(s.Now() + d)
+		a.received, b.received, c.received = a.received[:0], b.received[:0], c.received[:0]
+		a.frames, b.frames, c.frames = a.frames[:0], b.frames[:0], c.frames[:0]
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("warm transmit/finish allocated %.1f times per round, want 0", allocs)
 	}
 }

@@ -154,16 +154,13 @@ func SINRThresholdDB(rate phy.Rate) float64 {
 const rxNone Outcome = -1
 
 // ensureSpatial (idempotently) extends the per-radio state to cover
-// all attached radios: index map, symmetric power matrix, carrier
-// state, and linear-domain thresholds. Radios attached after the first
+// all attached radios: symmetric power matrix, carrier state, and
+// linear-domain thresholds. Radios attached after the first
 // Transmit get rows appended; existing indices never move.
 func (m *Medium) ensureSpatial() {
 	n := len(m.radios)
 	if len(m.powerMW) == n {
 		return
-	}
-	if m.radioIdx == nil {
-		m.radioIdx = make(map[Radio]int, n)
 	}
 	g := m.Geometry
 	if g == nil {
@@ -171,7 +168,6 @@ func (m *Medium) ensureSpatial() {
 	}
 	old := len(m.powerMW)
 	for i := old; i < n; i++ {
-		m.radioIdx[m.radios[i]] = i
 		m.txOwn = append(m.txOwn, 0)
 		m.senseBusy = append(m.senseBusy, false)
 		m.senseMW = append(m.senseMW, 0)

@@ -21,16 +21,16 @@ func scriptedMedium(g *Geometry) (*Medium, []*testRadio) {
 	a := &testRadio{}
 	b := &testRadio{pos: Pos{X: 5}}
 	c := &testRadio{pos: Pos{Y: 3}}
-	m.Attach(a)
-	m.Attach(b)
-	m.Attach(c)
+	a.id = m.Attach(a)
+	b.id = m.Attach(b)
+	c.id = m.Attach(c)
 	// Overlap pair, a clean frame, then a triple overlap.
-	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, "A1") })
-	s.At(10*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1500, "B1") })
-	s.At(2*sim.Millisecond, func() { m.Transmit(c, phy.RateA24, 300, "C1") })
-	s.At(4*sim.Millisecond, func() { m.Transmit(a, phy.RateA54, 1500, "A2") })
-	s.At(4*sim.Millisecond+20*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1400, "B2") })
-	s.At(4*sim.Millisecond+40*sim.Microsecond, func() { m.Transmit(c, phy.RateA54, 1300, "C2") })
+	s.At(0, func() { m.Transmit(a.id, phy.RateA54, 1500, "A1") })
+	s.At(10*sim.Microsecond, func() { m.Transmit(b.id, phy.RateA54, 1500, "B1") })
+	s.At(2*sim.Millisecond, func() { m.Transmit(c.id, phy.RateA24, 300, "C1") })
+	s.At(4*sim.Millisecond, func() { m.Transmit(a.id, phy.RateA54, 1500, "A2") })
+	s.At(4*sim.Millisecond+20*sim.Microsecond, func() { m.Transmit(b.id, phy.RateA54, 1400, "B2") })
+	s.At(4*sim.Millisecond+40*sim.Microsecond, func() { m.Transmit(c.id, phy.RateA54, 1300, "C2") })
 	s.Run()
 	return m, []*testRadio{a, b, c}
 }
@@ -84,11 +84,11 @@ func TestDegenerateIgnoresPositions(t *testing.T) {
 	a := &testRadio{}
 	b := &testRadio{pos: Pos{X: 1e300}}
 	c := &testRadio{pos: Pos{Y: 1e300}}
-	m.Attach(a)
-	m.Attach(b)
-	m.Attach(c)
-	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, "A") })
-	s.At(10*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1500, "B") })
+	a.id = m.Attach(a)
+	b.id = m.Attach(b)
+	c.id = m.Attach(c)
+	s.At(0, func() { m.Transmit(a.id, phy.RateA54, 1500, "A") })
+	s.At(10*sim.Microsecond, func() { m.Transmit(b.id, phy.RateA54, 1500, "B") })
 	s.Run()
 	for i, r := range []*testRadio{a, b, c} {
 		for _, o := range r.received {
@@ -124,10 +124,10 @@ func TestSpatialReuse(t *testing.T) {
 	nearB := &testRadio{pos: Pos{X: 98}}
 	mid := &testRadio{pos: Pos{X: 50}}
 	for _, r := range []*testRadio{a, b, nearA, nearB, mid} {
-		m.Attach(r)
+		r.id = m.Attach(r)
 	}
-	s.At(0, func() { m.Transmit(a, phy.RateA54, 1500, "A") })
-	s.At(5*sim.Microsecond, func() { m.Transmit(b, phy.RateA54, 1500, "B") })
+	s.At(0, func() { m.Transmit(a.id, phy.RateA54, 1500, "A") })
+	s.At(5*sim.Microsecond, func() { m.Transmit(b.id, phy.RateA54, 1500, "B") })
 	s.Run()
 
 	if got := nearA.received; len(got) != 1 || got[0] != RxOK {
@@ -166,10 +166,10 @@ func TestSpatialCarrierSense(t *testing.T) {
 	src := &testRadio{}
 	near := &testRadio{pos: Pos{X: 40}}
 	far := &testRadio{pos: Pos{X: 60}}
-	m.Attach(src)
-	m.Attach(near)
-	m.Attach(far)
-	m.Transmit(src, phy.RateA54, 1500, "x")
+	src.id = m.Attach(src)
+	near.id = m.Attach(near)
+	far.id = m.Attach(far)
+	m.Transmit(src.id, phy.RateA54, 1500, "x")
 	s.Run()
 
 	if near.busy != 1 || near.idle != 1 {
@@ -272,7 +272,7 @@ func TestPowerMatrixSymmetry(t *testing.T) {
 	m.ensureSpatial()
 	// Mid-run attach: the matrix is extended, old entries preserved.
 	late := &testRadio{pos: Pos{X: 33, Y: 44}}
-	m.Attach(late)
+	late.id = m.Attach(late)
 	m.ensureSpatial()
 	n := len(m.powerMW)
 	if n != 7 {

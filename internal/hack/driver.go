@@ -252,7 +252,7 @@ type Driver struct {
 	comp *rohc.Compressor
 	dec  *rohc.Decompressor
 
-	peers map[mac.Addr]*peerState
+	peers mac.PeerTable[peerState]
 
 	// EnqueueNative transmits a TCP ACK as an ordinary packet (MAC
 	// transmit queue). Required.
@@ -292,7 +292,6 @@ func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
 		cfg:   cfg.withDefaults(),
 		comp:  rohc.NewCompressor(),
 		dec:   rohc.NewDecompressor(),
-		peers: make(map[mac.Addr]*peerState),
 	}
 	d.dec.Packets = d.cfg.Packets
 	return d
@@ -302,11 +301,7 @@ func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
 func (d *Driver) Mode() Mode { return d.cfg.Mode }
 
 func (d *Driver) peer(a mac.Addr) *peerState {
-	p, ok := d.peers[a]
-	if !ok {
-		p = &peerState{}
-		d.peers[a] = p
-	}
+	p, _ := d.peers.Get(a)
 	return p
 }
 

@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"math/bits"
+
 	"tcphack/internal/sim"
 )
 
@@ -14,20 +16,31 @@ import (
 // timeouts of tens to hundreds of milliseconds.
 const reorderTimeout = 20 * sim.Millisecond
 
+// baSlot is the reorder-ring slot of a sequence number. The sequence
+// space (4096) is a multiple of the window (64), so the slot is stable
+// across the 4095→0 wrap.
+func baSlot(seq uint16) int { return int(seq) & (baWindowSize - 1) }
+
 // baRecipient is the receive side of a Block ACK agreement with one
 // peer: the scoreboard that answers Block ACKs and the reorder buffer
 // that restores in-sequence delivery.
+//
+// Every buffered MSDU lies inside the 64-sequence window at winStart,
+// so the buffer is a ring of 64 slots indexed by sequence number, and
+// bit i of mask marks winStart+i as buffered — which is exactly the
+// compressed Block ACK bitmap.
 type baRecipient struct {
 	st         *Station
 	peer       Addr
 	started    bool
 	winStart   uint16
-	buf        map[uint16]*MSDU // received, undelivered, seq ≥ winStart
-	flushTimer *sim.Timer       // persistent inactivity timer
+	mask       uint64
+	buf        [baWindowSize]*MSDU
+	flushTimer *sim.Timer // persistent inactivity timer
 }
 
 func newBARecipient(st *Station, peer Addr) *baRecipient {
-	r := &baRecipient{st: st, peer: peer, buf: make(map[uint16]*MSDU)}
+	r := &baRecipient{st: st, peer: peer}
 	r.flushTimer = sim.NewTimer(r.flush)
 	return r
 }
@@ -41,30 +54,38 @@ func (r *baRecipient) receive(m *MPDU) bool {
 	if seqLT(m.Seq, r.winStart) {
 		return false // old duplicate; implicitly acknowledged
 	}
-	if _, dup := r.buf[m.Seq]; dup {
+	d := seqDiff(m.Seq, r.winStart)
+	if d >= baWindowSize {
+		// A sequence number beyond the window forces the window
+		// forward (802.11-2012 §9.21.7.6.2).
+		r.advanceTo(seqAdd(m.Seq, -(baWindowSize - 1)))
+		d = seqDiff(m.Seq, r.winStart)
+	} else if r.mask&(1<<uint(d)) != 0 {
 		return false
 	}
-	// A sequence number beyond the window forces the window forward
-	// (802.11-2012 §9.21.7.6.2).
-	if d := seqDiff(m.Seq, r.winStart); d >= baWindowSize {
-		r.advanceTo(seqAdd(m.Seq, -(baWindowSize - 1)))
-	}
-	r.buf[m.Seq] = m.MSDU
+	r.buf[baSlot(m.Seq)] = m.MSDU
+	r.mask |= 1 << uint(d)
 	m.MSDU.retain() // the sender may resolve (and recycle) it first
 	r.deliverInOrder()
 	r.armFlush()
 	return true
 }
 
+// take empties winStart's slot and slides the window by one, returning
+// what the slot held (nil for a hole).
+func (r *baRecipient) take() *MSDU {
+	s := baSlot(r.winStart)
+	msdu := r.buf[s]
+	r.buf[s] = nil
+	r.mask >>= 1
+	r.winStart = seqNext(r.winStart)
+	return msdu
+}
+
 // deliverInOrder releases the contiguous run at winStart.
 func (r *baRecipient) deliverInOrder() {
-	for {
-		msdu, ok := r.buf[r.winStart]
-		if !ok {
-			return
-		}
-		delete(r.buf, r.winStart)
-		r.winStart = seqNext(r.winStart)
+	for r.mask&1 != 0 {
+		msdu := r.take()
 		r.st.deliverUp(msdu)
 		msdu.release()
 	}
@@ -80,12 +101,14 @@ func (r *baRecipient) advanceTo(seq uint16) {
 		return
 	}
 	for r.winStart != seq {
-		if msdu, ok := r.buf[r.winStart]; ok {
-			delete(r.buf, r.winStart)
+		if r.mask == 0 {
+			r.winStart = seq // nothing left to release on the way
+			break
+		}
+		if msdu := r.take(); msdu != nil {
 			r.st.deliverUp(msdu)
 			msdu.release()
 		}
-		r.winStart = seqNext(r.winStart)
 	}
 	r.deliverInOrder()
 	r.armFlush()
@@ -93,13 +116,7 @@ func (r *baRecipient) advanceTo(seq uint16) {
 
 // bitmap builds the compressed Block ACK response: origin and 64 bits.
 func (r *baRecipient) bitmap() (start uint16, bits uint64) {
-	start = r.winStart
-	for i := 0; i < baWindowSize; i++ {
-		if _, ok := r.buf[seqAdd(start, i)]; ok {
-			bits |= 1 << uint(i)
-		}
-	}
-	return start, bits
+	return r.winStart, r.mask
 }
 
 // armFlush (re)starts the hole-recovery timer. It is called on every
@@ -109,24 +126,17 @@ func (r *baRecipient) bitmap() (start uint16, bits uint64) {
 // at the originator's retry limit.
 func (r *baRecipient) armFlush() {
 	r.st.sched.Cancel(r.flushTimer)
-	if len(r.buf) == 0 {
+	if r.mask == 0 {
 		return
 	}
 	r.st.sched.Reset(r.flushTimer, r.st.sched.Now()+reorderTimeout)
 }
 
 // flush abandons all holes: delivers every buffered MSDU in sequence
-// order and advances the window past them.
+// order and advances the window past the highest one.
 func (r *baRecipient) flush() {
-	if len(r.buf) == 0 {
+	if r.mask == 0 {
 		return
 	}
-	// Find the highest buffered sequence number relative to winStart.
-	maxD := 0
-	for s := range r.buf {
-		if d := seqDiff(s, r.winStart); d > maxD {
-			maxD = d
-		}
-	}
-	r.advanceTo(seqAdd(r.winStart, maxD+1))
+	r.advanceTo(seqAdd(r.winStart, bits.Len64(r.mask)))
 }

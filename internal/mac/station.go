@@ -98,12 +98,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// destQueue holds per-destination transmit state.
+// destQueue holds per-destination transmit state. Its queues keep
+// their capacity across fill/drain cycles: fifo and retryQ are rings,
+// and outstanding swaps with outSpare whenever a (Block) ACK resolves
+// the batch (see takeOutstanding).
 type destQueue struct {
 	dst         Addr
-	fifo        []*MSDU
-	retryQ      []*MPDU // MPDUs awaiting retransmission, oldest first
-	outstanding []*MPDU // transmitted, awaiting a (Block) ACK
+	fifo        ring[*MSDU]
+	retryQ      ring[*MPDU] // MPDUs awaiting retransmission, oldest first
+	outstanding []*MPDU     // transmitted, awaiting a (Block) ACK
+	outSpare    []*MPDU
 	nextSeq     uint16
 	awaitingBAR bool
 	barRetries  int
@@ -115,12 +119,42 @@ type destQueue struct {
 }
 
 func (q *destQueue) hasWork() bool {
-	return q.awaitingBAR || len(q.retryQ) > 0 || len(q.fifo) > 0
+	return q.awaitingBAR || q.retryQ.len() > 0 || q.fifo.len() > 0
+}
+
+// takeOutstanding empties the outstanding batch and returns it. The
+// returned slice stays valid until the next takeOutstanding; the
+// caller clears it (clearBatch) once done.
+func (q *destQueue) takeOutstanding() []*MPDU {
+	batch := q.outstanding
+	q.outstanding, q.outSpare = q.outSpare[:0], batch
+	return batch
+}
+
+// clearBatch drops the MPDU pointers of a batch taken by
+// takeOutstanding, so the spare buffer never extends their lifetime.
+func clearBatch(batch []*MPDU) {
+	for i := range batch {
+		batch[i] = nil
+	}
+}
+
+// peer is a station's state toward one other station: the transmit
+// queue (live once anything was queued toward the peer), duplicate
+// detection for unaggregated frames, and the Block ACK recipient
+// (created by the first A-MPDU or BAR from the peer).
+type peer struct {
+	q         destQueue
+	hasQ      bool
+	rxSeen    bool
+	rxLastSeq uint16
+	ba        *baRecipient
 }
 
 // exchange is one in-flight frame exchange awaiting its response. The
 // response deadline lives in the station's persistent respTimeout
-// timer (only one exchange is ever outstanding).
+// timer. Only one exchange is ever outstanding, so it lives inline in
+// the Station.
 type exchange struct {
 	q         *destQueue
 	frame     *DataFrame // nil for BAR exchanges
@@ -133,16 +167,27 @@ type exchange struct {
 type Station struct {
 	sched  *sim.Scheduler
 	medium *channel.Medium
+	radio  int // index on medium
 	cfg    Config
 	rng    *rand.Rand
 
 	dcf dcf
 
-	queues map[Addr]*destQueue
-	order  []Addr
+	// peers holds per-peer state; order lists the transmit queues in
+	// creation order, the round-robin cycle pickQueue walks.
+	peers  PeerTable[peer]
+	order  []*destQueue
 	rrNext int
 
+	// waiting points at ex while an exchange awaits its response. bar
+	// is the one Block ACK Request that can be in flight (sent only
+	// under a waiting exchange), ack the response frame (ackOnAir while
+	// it is on the air).
 	waiting     *exchange
+	ex          exchange
+	bar         BARFrame
+	ack         AckFrame
+	ackOnAir    bool
 	respTimeout *sim.Timer // persistent (Block) ACK deadline for waiting
 	respPending bool
 	respTimer   *sim.Timer // persistent SIFS-turnaround timer
@@ -151,9 +196,6 @@ type Station struct {
 	respPeer       Addr
 	respBlock      bool
 	respElicitRate phy.Rate
-
-	rxLastSeq map[Addr]int32
-	rxBA      map[Addr]*baRecipient
 
 	// mpduPool and framePool recycle the per-transmission wrapper
 	// objects (ROADMAP perf follow-on: ≈10% of steady-state
@@ -196,21 +238,21 @@ type Station struct {
 // it for traffic.
 func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Station {
 	st := &Station{
-		sched:     sched,
-		medium:    medium,
-		cfg:       cfg.withDefaults(),
-		rng:       sched.ForkRand(),
-		queues:    make(map[Addr]*destQueue),
-		rxLastSeq: make(map[Addr]int32),
-		rxBA:      make(map[Addr]*baRecipient),
-		Hooks:     NopHooks{},
-		Deliver:   func(*MSDU) {},
+		sched:   sched,
+		medium:  medium,
+		cfg:     cfg.withDefaults(),
+		rng:     sched.ForkRand(),
+		Hooks:   NopHooks{},
+		Deliver: func(*MSDU) {},
 	}
 	st.respTimeout = sim.NewTimer(st.onRespTimeout)
 	st.respTimer = sim.NewTimer(func() {
 		st.sendResponse(st.respPeer, st.respBlock, st.respElicitRate)
 	})
-	st.respDone = func(any) {
+	st.respDone = func(f any) {
+		if f.(*AckFrame) == &st.ack {
+			st.ackOnAir = false
+		}
 		st.respPending = false
 		// The carrier-idle edge for this transmission fires earlier in
 		// the same instant (the medium delivers it before this event),
@@ -218,7 +260,7 @@ func NewStation(sched *sim.Scheduler, medium *channel.Medium, cfg Config) *Stati
 		st.dcf.recomputeIdle()
 	}
 	st.dcf.init(st)
-	medium.Attach(st)
+	st.radio = medium.Attach(st)
 	return st
 }
 
@@ -241,12 +283,12 @@ func (st *Station) CarrierIdle() { st.dcf.onPhysIdle() }
 // counts a drop) if the destination queue is full.
 func (st *Station) Enqueue(m *MSDU) bool {
 	q := st.queue(m.Dst)
-	if st.cfg.QueueLimit > 0 && len(q.fifo) >= st.cfg.QueueLimit {
+	if st.cfg.QueueLimit > 0 && q.fifo.len() >= st.cfg.QueueLimit {
 		st.Stats.QueueDrops++
 		return false
 	}
 	m.EnqueuedAt = st.sched.Now()
-	q.fifo = append(q.fifo, m)
+	q.fifo.push(m)
 	st.dcf.request()
 	return true
 }
@@ -274,9 +316,9 @@ func (st *Station) EnqueuePacket(dst Addr, p *packet.Packet, isTCPAck bool) bool
 // to the aggregation machinery cannot be withdrawn.
 func (st *Station) RemoveQueued(dst Addr, match func(*MSDU) bool) bool {
 	q := st.queue(dst)
-	for i, m := range q.fifo {
-		if match(m) {
-			q.fifo = append(q.fifo[:i], q.fifo[i+1:]...)
+	for i := 0; i < q.fifo.len(); i++ {
+		if m := q.fifo.at(i); match(m) {
+			q.fifo.removeAt(i)
 			m.release()
 			return true
 		}
@@ -290,7 +332,7 @@ func (st *Station) Backlogged() bool {
 	if st.waiting != nil {
 		return true
 	}
-	for _, q := range st.queues {
+	for _, q := range st.order {
 		if q.hasWork() || len(q.outstanding) > 0 {
 			return true
 		}
@@ -298,14 +340,16 @@ func (st *Station) Backlogged() bool {
 	return false
 }
 
+// queue returns the transmit queue toward dst, creating it (and
+// appending it to the round-robin cycle) on first use.
 func (st *Station) queue(dst Addr) *destQueue {
-	q, ok := st.queues[dst]
-	if !ok {
-		q = &destQueue{dst: dst}
-		st.queues[dst] = q
-		st.order = append(st.order, dst)
+	p, _ := st.peers.Get(dst)
+	if !p.hasQ {
+		p.hasQ = true
+		p.q.dst = dst
+		st.order = append(st.order, &p.q)
 	}
-	return q
+	return &p.q
 }
 
 func (st *Station) canTransmit() bool {
@@ -313,7 +357,7 @@ func (st *Station) canTransmit() bool {
 }
 
 func (st *Station) hasTraffic() bool {
-	for _, q := range st.queues {
+	for _, q := range st.order {
 		if q.hasWork() {
 			return true
 		}
@@ -443,8 +487,7 @@ func (st *Station) txOpportunity(waited sim.Duration) {
 func (st *Station) pickQueue() *destQueue {
 	n := len(st.order)
 	for i := 0; i < n; i++ {
-		dst := st.order[(st.rrNext+i)%n]
-		if q := st.queues[dst]; q.hasWork() {
+		if q := st.order[(st.rrNext+i)%n]; q.hasWork() {
 			st.rrNext = (st.rrNext + i + 1) % n
 			return q
 		}
@@ -482,7 +525,7 @@ func (st *Station) sendData(q *destQueue, waited sim.Duration) {
 			MPDUs: len(frame.MPDUs), Retried: retried,
 		})
 	}
-	tx := st.medium.Transmit(st, rate, wire, frame)
+	tx := st.medium.Transmit(st.radio, rate, wire, frame)
 
 	st.Stats.FramesSent++
 	st.Stats.MPDUsSent += uint64(len(frame.MPDUs))
@@ -492,8 +535,8 @@ func (st *Station) sendData(q *destQueue, waited sim.Duration) {
 		st.TCPAckTime.TCPAckAir += tx.Duration()
 	}
 
-	ex := &exchange{q: q, frame: frame, txEnd: tx.End, allTCPAck: allAck}
-	st.waiting = ex
+	st.ex = exchange{q: q, frame: frame, txEnd: tx.End, allTCPAck: allAck}
+	st.waiting = &st.ex
 	st.sched.Reset(st.respTimeout, st.respDeadline(tx.End, frame.Aggregated, rate))
 }
 
@@ -513,14 +556,12 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 	ht := rate.HT
 
 	if !st.cfg.Aggregation {
-		if len(q.retryQ) == 0 {
-			msdu := q.fifo[0]
-			q.fifo = q.fifo[1:]
-			q.retryQ = append(q.retryQ, st.getMPDU(q.nextSeq, msdu))
+		if q.retryQ.len() == 0 {
+			q.retryQ.push(st.getMPDU(q.nextSeq, q.fifo.pop()))
 			q.nextSeq = seqNext(q.nextSeq)
 		}
-		f.MPDUs = append(f.MPDUs, q.retryQ[0])
-		f.MoreData = len(q.fifo) > 0
+		f.MPDUs = append(f.MPDUs, q.retryQ.at(0))
+		f.MoreData = q.fifo.len() > 0
 		f.Dur = phy.SIFS + st.expectedRespDur(rate, false)
 		return f
 	}
@@ -541,11 +582,11 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 		f.MPDUs = append(f.MPDUs, m)
 		return true
 	}
-	for len(q.retryQ) > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
-		if !add(q.retryQ[0]) {
+	for q.retryQ.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+		if !add(q.retryQ.at(0)) {
 			break
 		}
-		q.retryQ = q.retryQ[1:]
+		q.retryQ.pop()
 	}
 	// New MPDUs must stay inside the 64-sequence transmit window
 	// anchored at the oldest pending retransmission; otherwise the
@@ -555,20 +596,20 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 	if len(f.MPDUs) > 0 {
 		winAnchor, anchored = f.MPDUs[0].Seq, true
 	}
-	for len(q.retryQ) == 0 && len(q.fifo) > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
+	for q.retryQ.len() == 0 && q.fifo.len() > 0 && len(f.MPDUs) < st.cfg.MaxAMPDUFrames {
 		if anchored && seqDiff(q.nextSeq, winAnchor) >= baWindowSize {
 			break
 		}
-		m := st.getMPDU(q.nextSeq, q.fifo[0])
+		m := st.getMPDU(q.nextSeq, q.fifo.at(0))
 		if !add(m) {
 			st.putMPDU(m)
 			break
 		}
 		q.nextSeq = seqNext(q.nextSeq)
-		q.fifo = q.fifo[1:]
+		q.fifo.pop()
 	}
 	q.outstanding = append(q.outstanding, f.MPDUs...)
-	f.MoreData = len(q.fifo) > 0 || len(q.retryQ) > 0
+	f.MoreData = q.fifo.len() > 0 || q.retryQ.len() > 0
 	f.Sync = q.syncPending
 	q.syncPending = false
 	f.Dur = phy.SIFS + st.expectedRespDur(rate, true)
@@ -577,20 +618,22 @@ func (st *Station) buildFrame(q *destQueue, rate phy.Rate) *DataFrame {
 
 // sendBAR transmits a Block ACK Request for q's oldest unresolved MPDU.
 func (st *Station) sendBAR(q *destQueue, waited sim.Duration) {
-	start := st.oldestUnresolved(q)
-	bar := &BARFrame{From: st.cfg.Addr, To: q.dst, StartSeq: start}
 	dataRate := st.lastRateFor(q)
-	bar.Dur = phy.SIFS + st.expectedRespDur(dataRate, true)
+	st.bar = BARFrame{
+		From: st.cfg.Addr, To: q.dst, StartSeq: st.oldestUnresolved(q),
+		Dur: phy.SIFS + st.expectedRespDur(dataRate, true),
+	}
+	bar := &st.bar
 	rate := st.ackRateFor(dataRate)
 	if st.cfg.Tracer != nil {
 		st.medium.StageTx(channel.TxMeta{
 			Src: uint16(st.cfg.Addr), Dst: uint16(q.dst), Class: trace.ClassBAR,
 		})
 	}
-	tx := st.medium.Transmit(st, rate, barLen, bar)
+	tx := st.medium.Transmit(st.radio, rate, barLen, bar)
 	st.Stats.BARsSent++
-	ex := &exchange{q: q, bar: bar, txEnd: tx.End}
-	st.waiting = ex
+	st.ex = exchange{q: q, bar: bar, txEnd: tx.End}
+	st.waiting = &st.ex
 	st.sched.Reset(st.respTimeout, st.respDeadline(tx.End, true, dataRate))
 	_ = waited
 }
@@ -607,8 +650,8 @@ func (st *Station) oldestUnresolved(q *destQueue) uint16 {
 	for _, m := range q.outstanding {
 		consider(m)
 	}
-	for _, m := range q.retryQ {
-		consider(m)
+	for i := 0; i < q.retryQ.len(); i++ {
+		consider(q.retryQ.at(i))
 	}
 	if !found {
 		return q.nextSeq
@@ -659,10 +702,10 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	}
 	st.dcf.noteRxOK()
 
+	p, _ := st.peers.Get(f.From)
 	progress := true
 	if !f.Aggregated {
-		last, seen := st.rxLastSeq[f.From]
-		progress = !seen || seqLT(uint16(last), decoded[0].Seq)
+		progress = !p.rxSeen || seqLT(p.rxLastSeq, decoded[0].Seq)
 	}
 	st.Hooks.DataIndication(f.From, DataInd{
 		MoreData: f.MoreData,
@@ -672,28 +715,32 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	})
 
 	if f.Aggregated {
-		r := st.baRecipient(f.From)
+		r := st.baRecipientOf(p, f.From)
 		for _, m := range decoded {
 			r.receive(m)
 		}
 	} else {
 		m := decoded[0]
-		last, seen := st.rxLastSeq[f.From]
-		if !seen || uint16(last) != m.Seq {
-			st.rxLastSeq[f.From] = int32(m.Seq)
+		if !p.rxSeen || p.rxLastSeq != m.Seq {
+			p.rxSeen, p.rxLastSeq = true, m.Seq
 			st.deliverUp(m.MSDU)
 		}
 	}
 	st.scheduleResponse(f.From, f.Aggregated, tx.Rate)
 }
 
-func (st *Station) baRecipient(peer Addr) *baRecipient {
-	r, ok := st.rxBA[peer]
-	if !ok {
-		r = newBARecipient(st, peer)
-		st.rxBA[peer] = r
+// baRecipient returns the Block ACK recipient for frames from addr,
+// creating it on first use.
+func (st *Station) baRecipient(addr Addr) *baRecipient {
+	p, _ := st.peers.Get(addr)
+	return st.baRecipientOf(p, addr)
+}
+
+func (st *Station) baRecipientOf(p *peer, addr Addr) *baRecipient {
+	if p.ba == nil {
+		p.ba = newBARecipient(st, addr)
 	}
-	return r
+	return p.ba
 }
 
 func (st *Station) scheduleResponse(peer Addr, block bool, elicitRate phy.Rate) {
@@ -708,7 +755,16 @@ func (st *Station) scheduleResponse(peer Addr, block bool, elicitRate phy.Rate) 
 }
 
 func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
-	f := &AckFrame{From: st.cfg.Addr, To: peer, Block: block}
+	// The response normally reuses the station's inline frame. Only
+	// when a SIFS turnaround fires while the previous response is
+	// still on the air does it need a frame of its own.
+	f := &st.ack
+	if st.ackOnAir {
+		f = &AckFrame{}
+	} else {
+		st.ackOnAir = true
+	}
+	*f = AckFrame{From: st.cfg.Addr, To: peer, Block: block}
 	if block {
 		f.StartSeq, f.Bitmap = st.baRecipient(peer).bitmap()
 	}
@@ -730,7 +786,7 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 			Src: uint16(st.cfg.Addr), Dst: uint16(peer), Class: trace.ClassAck, Extra: extra,
 		})
 	}
-	tx := st.medium.Transmit(st, rate, f.WireLen(), f)
+	tx := st.medium.Transmit(st.radio, rate, f.WireLen(), f)
 	if block {
 		st.Stats.BlockAcksSent++
 	} else {
@@ -745,7 +801,7 @@ func (st *Station) sendResponse(peer Addr, block bool, elicitRate phy.Rate) {
 		}
 		st.TCPAckTime.ROHCAir += tx.Duration() - phy.FrameDuration(rate, base)
 	}
-	st.sched.Post(tx.End, st.respDone, nil)
+	st.sched.Post(tx.End, st.respDone, f)
 }
 
 func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
@@ -762,10 +818,10 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 		st.Stats.HackPayloadsRecvd++
 		st.Hooks.AckPayloadReceived(f.From, f.Payload)
 	}
-	ex := st.waiting
-	if ex == nil || ex.q.dst != f.From {
+	if st.waiting == nil || st.waiting.q.dst != f.From {
 		return // stale or unexpected response (e.g. after our timeout)
 	}
+	ex := *st.waiting
 	st.sched.Cancel(st.respTimeout)
 	st.waiting = nil
 	if ex.allTCPAck {
@@ -784,21 +840,19 @@ func (st *Station) rxAck(f *AckFrame, tx *channel.Transmission) {
 }
 
 func (st *Station) processAck(q *destQueue) {
-	if len(q.retryQ) == 0 {
+	if q.retryQ.len() == 0 {
 		return
 	}
-	m := q.retryQ[0]
-	q.retryQ = q.retryQ[1:]
+	m := q.retryQ.pop()
 	st.recordDelivered(q, m)
 	st.putMPDU(m)
 }
 
 func (st *Station) processBlockAck(q *destQueue, f *AckFrame) {
-	outstanding := q.outstanding
-	q.outstanding = nil
+	batch := q.takeOutstanding()
 	q.awaitingBAR = false
 	q.barRetries = 0
-	for _, m := range outstanding {
+	for _, m := range batch {
 		if f.Acked(m.Seq) {
 			st.recordDelivered(q, m)
 			st.putMPDU(m)
@@ -806,6 +860,7 @@ func (st *Station) processBlockAck(q *destQueue, f *AckFrame) {
 			st.retryOrDrop(q, m)
 		}
 	}
+	clearBatch(batch)
 }
 
 func (st *Station) recordDelivered(q *destQueue, m *MPDU) {
@@ -844,7 +899,7 @@ func (st *Station) retryOrDrop(q *destQueue, m *MPDU) {
 	if st.cfg.Tracer != nil {
 		st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateRetry)
 	}
-	q.retryQ = append(q.retryQ, m)
+	q.retryQ.push(m)
 }
 
 func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
@@ -867,10 +922,10 @@ func (st *Station) rxBAR(f *BARFrame, tx *channel.Transmission) {
 
 // onRespTimeout handles an expired (Block) ACK wait.
 func (st *Station) onRespTimeout() {
-	ex := st.waiting
-	if ex == nil {
+	if st.waiting == nil {
 		return
 	}
+	ex := *st.waiting
 	st.waiting = nil
 	st.Stats.AckTimeouts++
 	if ex.allTCPAck {
@@ -885,14 +940,14 @@ func (st *Station) onRespTimeout() {
 			// MPDUs into the retry queue, move on, and mark the next
 			// data frame with SYNC so the receiver keeps its retained
 			// compressed-ACK state.
-			outstanding := q.outstanding
-			q.outstanding = nil
+			batch := q.takeOutstanding()
 			q.awaitingBAR = false
 			q.barRetries = 0
 			q.syncPending = true
-			for _, m := range outstanding {
+			for _, m := range batch {
 				st.retryOrDrop(q, m)
 			}
+			clearBatch(batch)
 			st.dcf.onTxSuccess() // fresh contention state for the new batch
 		} else {
 			st.dcf.onTxFailure()
@@ -904,12 +959,12 @@ func (st *Station) onRespTimeout() {
 		st.dcf.onTxFailure()
 	default:
 		// Single-MPDU exchange: retransmit the same sequence number.
-		m := q.retryQ[0]
+		m := q.retryQ.at(0)
 		st.cfg.RateAdapter.OnTxResult(q.dst, st.lastRateFor(q), false, m.Retries)
 		m.Retries++
 		if m.Retries > st.cfg.RetryLimit {
 			st.Stats.Expired++
-			q.retryQ = q.retryQ[1:]
+			q.retryQ.pop()
 			if st.cfg.Tracer != nil {
 				st.cfg.Tracer.MPDUFate(st.sched.Now(), uint16(st.cfg.Addr), uint16(q.dst), m.Seq, m.Retries, trace.FateExpired)
 			}

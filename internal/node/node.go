@@ -226,6 +226,22 @@ var (
 
 func clientIP(i int) packet.Addr { return packet.IP(192, 168, 0, byte(10+i)) }
 
+// clientByIP inverts clientIP over the network's nc clients. The last
+// octet wraps, so beyond 246 clients several share one address (and
+// client 247 shares the AP's 192.168.0.1); the highest-numbered client
+// owns a shared address, as when routing first learned addresses in
+// client order with later clients overwriting earlier ones.
+func clientByIP(ip packet.Addr, nc int) (int, bool) {
+	if ip[0] != 192 || ip[1] != 168 || ip[2] != 0 {
+		return 0, false
+	}
+	ci := int(ip[3] - 10) // the octet arithmetic wraps like clientIP's
+	if ci >= nc {
+		return 0, false
+	}
+	return ci + (nc-1-ci)/256*256, true
+}
+
 // bssAPIP returns the AP address for BSS b: 192.168.b.1, so BSS 0
 // keeps the historical apIP.
 func bssAPIP(b int) packet.Addr { return packet.IP(192, 168, byte(b), 1) }
@@ -294,7 +310,6 @@ type WifiNode struct {
 	localIn func(any)
 	routeFn func(any)
 
-	endpoints map[packet.FiveTuple]*tcp.Endpoint
 	// Goodput measures application bytes received at this node
 	// (TCP payload or UDP payload).
 	Goodput stats.Goodput
@@ -313,15 +328,14 @@ type Network struct {
 	// BSSes lists the assembled BSSs; a legacy single-BSS network has
 	// exactly one.
 	BSSes []*BSS
-	// Server endpoints/state (nil when WireRateKbps == 0).
-	serverEndpoints map[packet.FiveTuple]*tcp.Endpoint
-	clientIdx       map[packet.Addr]int
-	clientBSS       []int // global client index → BSS index
-	addrBSS         map[mac.Addr]int
 
+	clientBSS []int // global client index → BSS index
+	addrBSS   []int // MAC address - apMAC → BSS index
+
+	// Flows lists the transfers in start order. Flow i uses port
+	// flowPort(i) at both ends, which is how arriving segments find
+	// their endpoint (see demux).
 	Flows []*Flow
-
-	nextPort uint16
 
 	// packets is the network's packet pool: TCP segments, UDP
 	// datagrams and reconstituted ACKs are drawn from it and recycled
@@ -338,6 +352,16 @@ type Flow struct {
 	Goodput  stats.Goodput
 	Done     bool
 	DoneAt   sim.Time
+
+	// ends binds the two endpoints to their hosts (nil host: the
+	// server).
+	ends [2]flowEnd
+}
+
+// flowEnd is one endpoint of a flow and the host it lives on.
+type flowEnd struct {
+	host *WifiNode
+	ep   *tcp.Endpoint
 }
 
 // New assembles a network per cfg.
@@ -348,13 +372,9 @@ func New(cfg Config) *Network {
 	medium.Tracer = cfg.Tracer
 	medium.Geometry = cfg.Geometry
 	n := &Network{
-		Cfg:             cfg,
-		Sched:           sched,
-		Medium:          medium,
-		serverEndpoints: make(map[packet.FiveTuple]*tcp.Endpoint),
-		clientIdx:       make(map[packet.Addr]int),
-		addrBSS:         make(map[mac.Addr]int),
-		nextPort:        basePort,
+		Cfg:    cfg,
+		Sched:  sched,
+		Medium: medium,
 	}
 
 	// Address/position plan: MAC addresses assigned sequentially in
@@ -371,13 +391,12 @@ func New(cfg Config) *Network {
 	for bi, spec := range cfg.BSSs {
 		plans[bi].apAddr = nextMAC
 		positions[nextMAC] = spec.APPos
-		n.addrBSS[nextMAC] = bi
+		n.addrBSS = append(n.addrBSS, bi)
 		nextMAC++
 		for i := 0; i < spec.Clients; i++ {
 			plans[bi].clients = append(plans[bi].clients, nextMAC)
 			positions[nextMAC] = spec.ClientPos(i)
-			n.addrBSS[nextMAC] = bi
-			n.clientIdx[clientIP(global)] = global
+			n.addrBSS = append(n.addrBSS, bi)
 			n.clientBSS = append(n.clientBSS, bi)
 			nextMAC++
 			global++
@@ -490,10 +509,7 @@ func New(cfg Config) *Network {
 
 // newNode builds a WifiNode around a MAC station.
 func (n *Network) newNode(st *mac.Station, ip packet.Addr, addr mac.Addr) *WifiNode {
-	w := &WifiNode{
-		net: n, MAC: st, IP: ip, MACAddr: addr,
-		endpoints: make(map[packet.FiveTuple]*tcp.Endpoint),
-	}
+	w := &WifiNode{net: n, MAC: st, IP: ip, MACAddr: addr}
 	w.localIn = releasing(w.localInput)
 	w.routeFn = releasing(w.route)
 	d := hack.NewDriver(n.Sched, hack.Config{
@@ -564,11 +580,7 @@ func (w *WifiNode) localInput(p *packet.Packet) {
 		w.Goodput.Add(w.net.Sched.Now(), p.PayloadLen)
 		return
 	}
-	if t, ok := p.Tuple(); ok {
-		if ep, found := w.endpoints[t.Reverse()]; found {
-			ep.Input(p)
-		}
-	}
+	w.net.demux(w, p)
 }
 
 // route sends p toward its destination IP from this node.
@@ -582,7 +594,7 @@ func (w *WifiNode) route(p *packet.Packet) {
 		// its wire. Clients of other BSSs are never bridged over WiFi —
 		// that confinement (plus globally unique MAC addresses) is what
 		// keeps block-ack sessions and ROHC contexts BSS-local.
-		if ci, ok := w.net.clientByIP(dst); ok && w.net.clientBSS[ci] == w.bss.Index {
+		if ci, ok := clientByIP(dst, len(w.net.clientBSS)); ok && w.net.clientBSS[ci] == w.bss.Index {
 			w.sendWifi(w.net.Clients[ci].MACAddr, p)
 		} else if w.bss.wireUp != nil {
 			w.bss.wireUp.Send(p)
@@ -603,11 +615,6 @@ func (w *WifiNode) sendWifi(dst mac.Addr, p *packet.Packet) {
 	w.MAC.EnqueuePacket(dst, p, false)
 }
 
-func (n *Network) clientByIP(ip packet.Addr) (int, bool) {
-	ci, ok := n.clientIdx[ip]
-	return ci, ok
-}
-
 // bssOf returns the BSS owning global client index ci.
 func (n *Network) bssOf(ci int) *BSS { return n.BSSes[n.clientBSS[ci]] }
 
@@ -615,34 +622,45 @@ func (n *Network) bssOf(ci int) *BSS { return n.BSSes[n.clientBSS[ci]] }
 // unknown address. Campaign collectors use it to attribute per-station
 // airtime to BSSs.
 func (n *Network) BSSOfAddr(a mac.Addr) int {
-	if bi, ok := n.addrBSS[a]; ok {
-		return bi
+	if a < apMAC || int(a-apMAC) >= len(n.addrBSS) {
+		return -1
 	}
-	return -1
+	return n.addrBSS[a-apMAC]
 }
 
 // serverInput demultiplexes a packet arriving at the server.
-func (n *Network) serverInput(p *packet.Packet) {
-	if t, ok := p.Tuple(); ok {
-		if ep, found := n.serverEndpoints[t.Reverse()]; found {
-			ep.Input(p)
+func (n *Network) serverInput(p *packet.Packet) { n.demux(nil, p) }
+
+// flowPort returns the port flow i uses at both of its ends.
+func flowPort(i int) uint16 { return uint16(basePort + 1 + i) }
+
+// demux delivers a TCP segment arriving at host (nil: the server) to
+// the endpoint it is addressed to: the destination port names the
+// flow, and the full five-tuple must match one of the flow's endpoints
+// bound at host. Anything else is dropped.
+func (n *Network) demux(host *WifiNode, p *packet.Packet) {
+	t, ok := p.Tuple()
+	if !ok {
+		return
+	}
+	i := int(t.DstPort) - int(flowPort(0))
+	if i < 0 || i >= len(n.Flows) {
+		return
+	}
+	want := t.Reverse()
+	for _, e := range n.Flows[i].ends {
+		if e.host == host && e.ep.Tuple() == want {
+			e.ep.Input(p)
+			return
 		}
 	}
-}
-
-// endpointPair creates a connected sender/receiver endpoint pair for a
-// flow between srcIP and dstIP. Output wiring depends on where each
-// end lives.
-func (n *Network) allocPort() uint16 {
-	n.nextPort++
-	return n.nextPort
 }
 
 // StartDownload starts a TCP transfer of totalBytes toward client ci,
 // beginning at startAt. totalBytes 0 means unbounded. The sender lives
 // on the server when the wire exists, else on the AP (SoRa topology).
 func (n *Network) StartDownload(ci int, totalBytes uint64, startAt sim.Duration) *Flow {
-	port := n.allocPort()
+	port := flowPort(len(n.Flows))
 	bss := n.bssOf(ci)
 	senderIP := serverIP
 	if bss.wireDn == nil {
@@ -664,7 +682,7 @@ func (n *Network) StartDownload(ci int, totalBytes uint64, startAt sim.Duration)
 
 // StartUpload starts a TCP transfer of totalBytes from client ci.
 func (n *Network) StartUpload(ci int, totalBytes uint64, startAt sim.Duration) *Flow {
-	port := n.allocPort()
+	port := flowPort(len(n.Flows))
 	bss := n.bssOf(ci)
 	peerIP := serverIP
 	if bss.wireUp == nil {
@@ -689,12 +707,15 @@ func (n *Network) finishFlow(f *Flow, ci int, sender, receiver *tcp.Endpoint, to
 	client := n.Clients[ci]
 	bss := n.bssOf(ci)
 
+	bound := 0
 	bindWifi := func(w *WifiNode, ep *tcp.Endpoint) {
-		w.endpoints[ep.Tuple()] = ep
+		f.ends[bound] = flowEnd{w, ep}
+		bound++
 		ep.Output = func(p *packet.Packet) { w.route(p) }
 	}
 	bindServer := func(ep *tcp.Endpoint) {
-		n.serverEndpoints[ep.Tuple()] = ep
+		f.ends[bound] = flowEnd{nil, ep}
+		bound++
 		ep.Output = func(p *packet.Packet) { bss.wireDn.Send(p) }
 	}
 

@@ -50,17 +50,80 @@ func CID(t packet.FiveTuple) byte {
 }
 
 // cidCache memoizes CID per five-tuple. A flow's CID never changes, so
-// one MD5 per flow suffices; lookups are a single map probe and
-// allocation-free.
-type cidCache map[packet.FiveTuple]byte
+// one MD5 per flow suffices. A codec serves a handful of flows and
+// sees them in runs (one peer's A-MPDU of ACKs), so the cache is a
+// short list checked from the last hit, compared without hashing. It
+// holds at most cidCacheCap flows, replacing the oldest beyond that.
+type cidCache struct {
+	entries []cidEntry
+	last    int // index of the last hit
+	next    int // replacement cursor once full
+}
 
-func (c cidCache) cid(t packet.FiveTuple) byte {
-	if id, ok := c[t]; ok {
-		return id
+type cidEntry struct {
+	t   packet.FiveTuple
+	cid byte
+}
+
+const cidCacheCap = 32
+
+func (c *cidCache) cid(t packet.FiveTuple) byte {
+	if c.last < len(c.entries) && c.entries[c.last].t == t {
+		return c.entries[c.last].cid
 	}
-	id := CID(t)
-	c[t] = id
-	return id
+	for i := range c.entries {
+		if c.entries[i].t == t {
+			c.last = i
+			return c.entries[i].cid
+		}
+	}
+	e := cidEntry{t, CID(t)}
+	if len(c.entries) < cidCacheCap {
+		c.entries = append(c.entries, e)
+		c.last = len(c.entries) - 1
+	} else {
+		c.entries[c.next] = e
+		c.last, c.next = c.next, (c.next+1)%cidCacheCap
+	}
+	return e.cid
+}
+
+// contextTable holds a codec's flow contexts, one slot per CID. The
+// slot array is allocated with the first context, so a codec that never
+// sees a TCP ACK (a UDP-only station) costs nothing.
+type contextTable struct {
+	slots *[256]*context
+}
+
+// get returns the context for cid, or nil.
+func (t *contextTable) get(cid byte) *context {
+	if t.slots == nil {
+		return nil
+	}
+	return t.slots[cid]
+}
+
+// add installs a fresh context for cid and returns it.
+func (t *contextTable) add(cid byte) *context {
+	if t.slots == nil {
+		t.slots = new([256]*context)
+	}
+	ctx := &context{}
+	t.slots[cid] = ctx
+	return ctx
+}
+
+// anyInvalid reports whether any context is invalid.
+func (t *contextTable) anyInvalid() bool {
+	if t.slots == nil {
+		return false
+	}
+	for _, ctx := range t.slots {
+		if ctx != nil && !ctx.valid {
+			return true
+		}
+	}
+	return false
 }
 
 // crc8Table is the 256-entry lookup table for the ROHC CRC-8
@@ -251,18 +314,13 @@ func tupleOf(p *packet.Packet) packet.FiveTuple {
 
 // Compressor turns pure TCP ACKs into compressed representations.
 type Compressor struct {
-	contexts map[byte]*context
+	contexts contextTable
 	cids     cidCache
 	scratch  []byte // headerCRC marshal buffer
 }
 
 // NewCompressor returns an empty compressor.
-func NewCompressor() *Compressor {
-	return &Compressor{
-		contexts: make(map[byte]*context),
-		cids:     make(cidCache),
-	}
-}
+func NewCompressor() *Compressor { return &Compressor{} }
 
 // CID returns the context identifier for a flow, memoized per
 // five-tuple (the MD5 in the package-level CID runs once per flow).
@@ -278,7 +336,7 @@ func (c *Compressor) CID(t packet.FiveTuple) byte { return c.cids.cid(t) }
 // force the "regeneration unsafe until a fresh anchor" condition
 // explicitly.
 func (c *Compressor) Invalidate(t packet.FiveTuple) {
-	if ctx, ok := c.contexts[c.cids.cid(t)]; ok && ctx.tuple == t {
+	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.tuple == t {
 		ctx.valid = false
 	}
 }
@@ -290,7 +348,7 @@ func (c *Compressor) Invalidate(t packet.FiveTuple) {
 // self-contained encoding survives arbitrary gaps in what the
 // decompressor has seen.
 func (c *Compressor) Refresh(t packet.FiveTuple) {
-	if ctx, ok := c.contexts[c.cids.cid(t)]; ok && ctx.valid && ctx.tuple == t {
+	if ctx := c.contexts.get(c.cids.cid(t)); ctx != nil && ctx.valid && ctx.tuple == t {
 		ctx.refreshed = true
 	}
 }
@@ -298,14 +356,7 @@ func (c *Compressor) Refresh(t packet.FiveTuple) {
 // ResyncNeeded reports whether any flow context is invalid — i.e. at
 // least one flow must re-anchor through a native ACK before compressed
 // regeneration is safe again.
-func (c *Compressor) ResyncNeeded() bool {
-	for _, ctx := range c.contexts {
-		if !ctx.valid {
-			return true
-		}
-	}
-	return false
-}
+func (c *Compressor) ResyncNeeded() bool { return c.contexts.anyInvalid() }
 
 // shouldAbsorb decides whether a natively-travelling ACK re-anchors a
 // context. Both ends apply the same rule, and every absorb forces the
@@ -353,10 +404,9 @@ func (c *Compressor) Observe(p *packet.Packet) {
 		return
 	}
 	cid := c.cids.cid(tupleOf(p))
-	ctx, ok := c.contexts[cid]
-	if !ok {
-		ctx = &context{}
-		c.contexts[cid] = ctx
+	ctx := c.contexts.get(cid)
+	if ctx == nil {
+		ctx = c.contexts.add(cid)
 	}
 	if !ctx.shouldAbsorb(p) {
 		if ctx.valid && ctx.tuple == tupleOf(p) {
@@ -448,8 +498,8 @@ func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn ui
 	}
 	tuple := tupleOf(p)
 	cid := c.cids.cid(tuple)
-	ctx, exists := c.contexts[cid]
-	if !exists || !ctx.valid || ctx.tuple != tuple {
+	ctx := c.contexts.get(cid)
+	if ctx == nil || !ctx.valid || ctx.tuple != tuple {
 		return dst, 0, false
 	}
 	t := p.TCP
@@ -651,7 +701,7 @@ type Decompressor struct {
 	// fresh packets that are never recycled).
 	Packets *packet.Pool
 
-	contexts map[byte]*context
+	contexts contextTable
 	cids     cidCache
 	scratch  []byte // headerCRC marshal buffer
 
@@ -664,12 +714,7 @@ type Decompressor struct {
 }
 
 // NewDecompressor returns an empty decompressor.
-func NewDecompressor() *Decompressor {
-	return &Decompressor{
-		contexts: make(map[byte]*context),
-		cids:     make(cidCache),
-	}
-}
+func NewDecompressor() *Decompressor { return &Decompressor{} }
 
 // Observe records a natively-received TCP ACK, establishing the flow
 // context, re-anchoring it on newer state, or restoring it after CRC
@@ -679,10 +724,9 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 		return
 	}
 	cid := d.cids.cid(tupleOf(p))
-	ctx, ok := d.contexts[cid]
-	if !ok {
-		ctx = &context{}
-		d.contexts[cid] = ctx
+	ctx := d.contexts.get(cid)
+	if ctx == nil {
+		ctx = d.contexts.add(cid)
 	}
 	if !ctx.shouldAbsorb(p) {
 		return
@@ -699,7 +743,7 @@ func (d *Decompressor) Observe(p *packet.Packet) {
 // drivers and tests can declare damage explicitly and probe it via
 // ResyncNeeded instead of inferring it from failure counters.
 func (d *Decompressor) Invalidate(cid byte) {
-	if ctx := d.contexts[cid]; ctx != nil {
+	if ctx := d.contexts.get(cid); ctx != nil {
 		ctx.valid = false
 	}
 }
@@ -707,14 +751,7 @@ func (d *Decompressor) Invalidate(cid byte) {
 // ResyncNeeded reports whether any flow context is damaged and awaiting
 // a native re-anchor — the §3.4 condition under which compressed ACKs
 // cannot be regenerated and are being dropped.
-func (d *Decompressor) ResyncNeeded() bool {
-	for _, ctx := range d.contexts {
-		if !ctx.valid {
-			return true
-		}
-	}
-	return false
-}
+func (d *Decompressor) ResyncNeeded() bool { return d.contexts.anyInvalid() }
 
 var (
 	errTruncated = errors.New("rohc: truncated compressed frame")
@@ -752,7 +789,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 	msnLow := b[1] & 0x0f
 	i := 2
 
-	ctx := d.contexts[cid]
+	ctx := d.contexts.get(cid)
 
 	var msn uint8
 	haveMSN := true
@@ -974,8 +1011,7 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 		return nil
 	}
 	if ctx == nil {
-		ctx = &context{}
-		d.contexts[f.cid] = ctx
+		ctx = d.contexts.add(f.cid)
 	}
 	if ctx.valid && ctx.tuple != f.tuple {
 		// CID collision against a live flow: like the native absorb
