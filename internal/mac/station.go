@@ -8,6 +8,7 @@ import (
 	"tcphack/internal/packet"
 	"tcphack/internal/phy"
 	"tcphack/internal/sim"
+	"tcphack/internal/slab"
 	"tcphack/internal/stats"
 	"tcphack/internal/trace"
 )
@@ -211,6 +212,10 @@ type Station struct {
 	mpduPool  []*MPDU
 	framePool []*DataFrame
 	msduPool  []*MSDU
+	// The freelists grow from slabs: one allocation per block of
+	// objects while a network warms up.
+	mpdus slab.Allocator[MPDU]
+	msdus slab.Allocator[MSDU]
 
 	// rxScratch is the reusable decode buffer for rxData (per-frame MPDU
 	// filtering); no callee retains the slice.
@@ -403,7 +408,7 @@ func (st *Station) getMSDU(dst Addr, p *packet.Packet, isTCPAck bool) *MSDU {
 		m = st.msduPool[n-1]
 		st.msduPool = st.msduPool[:n-1]
 	} else {
-		m = &MSDU{}
+		m = st.msdus.New()
 	}
 	p.Retain()
 	*m = MSDU{Src: st.cfg.Addr, Dst: dst, Packet: p, IsTCPAck: isTCPAck, pool: st, refs: 1}
@@ -426,7 +431,9 @@ func (st *Station) getMPDU(seq uint16, msdu *MSDU) *MPDU {
 		*m = MPDU{Seq: seq, MSDU: msdu}
 		return m
 	}
-	return &MPDU{Seq: seq, MSDU: msdu}
+	m := st.mpdus.New()
+	*m = MPDU{Seq: seq, MSDU: msdu}
+	return m
 }
 
 // putMPDU recycles a resolved MPDU. The MSDU reference is dropped so

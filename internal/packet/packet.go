@@ -40,6 +40,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"tcphack/internal/slab"
 )
 
 // Addr is an IPv4 address.
@@ -169,6 +171,7 @@ type Packet struct {
 // recycled.
 type Pool struct {
 	free []*pooled
+	objs slab.Allocator[pooled] // where the freelist grows from
 }
 
 // pooled is one freelist object: a packet together with the TCP and
@@ -190,8 +193,11 @@ func (pl *Pool) Get(proto byte) *Packet {
 		s = pl.free[len(pl.free)-1]
 		pl.free = pl.free[:len(pl.free)-1]
 		s.tcp, s.udp = TCP{}, UDP{}
+	} else if pl != nil {
+		s = pl.objs.New()
+		s.pool = pl
 	} else {
-		s = &pooled{pool: pl}
+		s = &pooled{}
 	}
 	s.pkt = Packet{IP: IPv4{Protocol: proto}, refs: 1}
 	if pl != nil {

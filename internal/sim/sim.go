@@ -73,6 +73,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+
+	"tcphack/internal/slab"
 )
 
 // Time is a point in simulated time, in nanoseconds since the start of
@@ -174,12 +176,13 @@ const (
 // Scheduler is the discrete-event core. It is not safe for concurrent
 // use; simulations are single-goroutine by design (determinism).
 type Scheduler struct {
-	now   Time
-	seq   uint64
-	q     eventQueue
-	free  []*Timer // recycled pooled timers
-	rng   *rand.Rand
-	fired uint64 // total events executed, for diagnostics
+	now    Time
+	seq    uint64
+	q      eventQueue
+	free   []*Timer              // recycled pooled timers
+	timers slab.Allocator[Timer] // where free grows from
+	rng    *rand.Rand
+	fired  uint64 // total events executed, for diagnostics
 }
 
 // NewScheduler returns a scheduler whose random stream is seeded with
@@ -261,7 +264,8 @@ func (s *Scheduler) Post(at Time, fn func(any), arg any) {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		t = &Timer{pooled: true, index: -1}
+		t = s.timers.New()
+		t.pooled, t.index = true, -1
 	}
 	t.fnArg = fn
 	t.arg = arg
