@@ -3,10 +3,12 @@
 // marshalling brought the full 802.11n HACK scenario below two heap
 // allocations per scheduler event; MPDU/DataFrame freelists took it
 // below 1.5; the per-network packet pool plus caller-owned ROHC and
-// HACK buffers took the TCP/HACK packet path to ≈0.04. These tests
-// keep it there. A regression to per-packet, per-event timer, closure,
-// or per-MPDU wrapper allocation adds ≈0.5-2 allocs/event and fails
-// the budget.
+// HACK buffers took the TCP/HACK packet path to ≈0.04; recycled
+// channel transmissions, inline MAC control frames and exchanges, and
+// capacity-keeping MAC queues took the last MAC and channel sites out,
+// so a warm network allocates nothing at all. These tests keep it
+// there: any per-packet, per-event or per-frame allocation brought
+// back fails them.
 package tcphack
 
 import (
@@ -22,17 +24,19 @@ import (
 // steadyStateAllocBudget is the allowed mallocs per executed scheduler
 // event once the simulation is warm (measured ≈5 to 6 before the
 // timer and callback pooling, ≈1.08 with the MPDU/DataFrame freelists,
-// and ≈0.043 with the packet pool: what remains are the MAC and
-// channel wrapper sites — Transmission, AckFrame, queue growth).
-const steadyStateAllocBudget = 0.3
+// ≈0.043 with the packet pool, and exactly 0 — no malloc over the
+// 3-second window — since the MAC and channel sites were recycled).
+const steadyStateAllocBudget = 0
 
 // campaignAllocBudget is the allowed mallocs for one serial run of the
 // benchmark campaign grid (benchCampaignSpec(1): 8 points, 1 s warmup
 // plus 1 s measurement each, setup included). It measured 433k before
-// the packet pool and 52.4k after it; the budget leaves ≈15% for
-// runtime and map-growth noise, far below what one per-packet
+// the packet pool, 52.4k after it, and 3.37k once the MAC and channel
+// sites were recycled and the per-network freelists grew from slabs
+// (what is left is network construction and freelist warm-up); the
+// budget leaves ≈15% for runtime noise, far below what one per-packet
 // allocation site reintroduced would add (tens of thousands).
-const campaignAllocBudget = 60_000
+const campaignAllocBudget = 3_850
 
 // TestCampaignAllocBudget is the hard allocs/op budget on the
 // BenchmarkCampaignRun grid: it runs the grid once, serially, and
@@ -50,20 +54,13 @@ func TestCampaignAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocBudget runs the aggregated 802.11n HACK scenario
-// to steady state and asserts the allocation rate per simulated event
-// stays under the budget. Mallocs is a monotone total (GC does not
-// reset it), and the simulation is single-goroutine, so the window
-// delta is exact up to the test runtime's own background noise —
-// which the wide event window drowns out.
 // scaleAllocBudget is the allowed mallocs per executed scheduler event
-// in the 100-station grid scenario (see scaleNetwork in bench_test.go).
-// Large-N steady state is cheaper per event than the 2-client TCP
-// scenario — UDP sinks allocate no TCP state and the MSDU freelists
-// recycle every data frame — so the gate is much tighter (measured
-// ≈0.11 with the wheel and MSDU freelists). CI runs this test as the
-// hard allocation gate for the BenchmarkScale workload.
-const scaleAllocBudget = 0.25
+// in the 100-station grid scenario (see scaleNetwork in bench_test.go):
+// exactly 0 (measured ≈0.11 with the wheel and MSDU freelists, before
+// the MAC and channel sites were recycled). CI runs this test as the
+// hard allocation gate for the BenchmarkScale workload, next to an
+// exact allocs/event == 0 gate on the benchmark itself.
+const scaleAllocBudget = 0
 
 // TestScaleAllocBudget runs the 100-station grid scenario to steady
 // state on the timing wheel and asserts the per-event allocation rate
@@ -118,6 +115,12 @@ func TestNopTracerAllocFree(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocBudget runs the aggregated 802.11n HACK scenario
+// to steady state and asserts the allocation rate per simulated event
+// stays under the budget. Mallocs is a monotone total (GC does not
+// reset it), and the simulation is single-goroutine, so the window
+// delta is exact up to the test runtime's own background noise —
+// which the wide event window drowns out.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(2))
 	n := node.New(cfg)

@@ -15,8 +15,10 @@
 // text on stdin holds repeated, interleaved runs of a candidate
 // benchmark and its reference, measured in the same job; the i-th
 // candidate result pairs with the i-th reference result. The command
-// exits 1 when the median candidate/reference ratio of the metric
-// exceeds 1 + the relative tolerance:
+// exits 1 when the median candidate/reference ratio of the metric, or
+// the upper end of the ratio's two-sided 95% Student-t confidence
+// interval, exceeds 1 + the relative tolerance — so a gate passes only
+// when the pairs resolve the ratio to within the bound:
 //
 //	go test -c -o scale.test .
 //	for i in $(seq 10); do
@@ -26,6 +28,9 @@
 //	    -name 'BenchmarkScale/stations=100' \
 //	    -against 'BenchmarkScaleHeap/stations=100' \
 //	    -metric ns/event -rel 0.03
+//
+// With -exact V the command gates a deterministic metric instead:
+// every run of -name must report exactly V (e.g. allocs/event 0).
 package main
 
 import (
@@ -33,10 +38,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+
+	"tcphack/internal/results"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -57,7 +65,8 @@ func main() {
 	name := flag.String("name", "", "with -compare: candidate benchmark name (sub-bench path, -N CPU suffix stripped)")
 	against := flag.String("against", "", "with -compare: reference benchmark name, measured in the same bench text")
 	metric := flag.String("metric", "ns/event", "with -compare: metric unit to compare")
-	rel := flag.Float64("rel", 0.03, "with -compare: allowed relative increase of the median ratio over 1")
+	rel := flag.Float64("rel", 0.03, "with -compare: allowed relative increase over 1 of the median ratio and of its 95% confidence bound")
+	exact := flag.String("exact", "", "gate that every -name run reports exactly this -metric value instead of converting")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "bench2json: unexpected arguments %q (bench text is read from stdin)\n", flag.Args())
@@ -97,6 +106,14 @@ func main() {
 	if *compare {
 		os.Exit(runCompare(rep, *name, *against, *metric, *rel))
 	}
+	if *exact != "" {
+		want, err := strconv.ParseFloat(*exact, 64)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench2json: -exact %q: %v\n", *exact, err)
+			os.Exit(1)
+		}
+		os.Exit(runExact(rep, *name, *metric, want))
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -105,10 +122,13 @@ func main() {
 	}
 }
 
-// runCompare gates the median candidate/reference ratio of one metric
-// over the paired runs in rep. It returns the process exit code: 0
-// within tolerance, 1 regressed (or the lookup failed — a silent pass
-// on a renamed benchmark would hollow the gate out).
+// runCompare gates the candidate/reference ratio of one metric over
+// the paired runs in rep: both the median ratio and the upper end of
+// the mean ratio's 95% Student-t confidence interval must stay within
+// 1+rel. It returns the process exit code: 0 within tolerance, 1
+// regressed or unresolved (fewer than two pairs give no interval), or
+// the lookup failed — a silent pass on a renamed benchmark would
+// hollow the gate out.
 func runCompare(rep Report, name, against, metric string, rel float64) int {
 	if name == "" || against == "" {
 		fmt.Fprintln(os.Stderr, "bench2json: -compare requires -name and -against")
@@ -127,14 +147,62 @@ func runCompare(rep Report, name, against, metric string, rel float64) int {
 	sort.Float64s(ratios)
 	n := len(ratios)
 	median := (ratios[(n-1)/2] + ratios[n/2]) / 2
+	mean, upper := meanUpper95(ratios)
 	verdict := "OK"
 	code := 0
-	if !(median <= 1+rel) {
+	if !(median <= 1+rel && upper <= 1+rel) {
 		verdict = "REGRESSED"
 		code = 1
 	}
-	fmt.Printf("%s: %s / %s %s median ratio %.4f over %d pairs (min %.4f, max %.4f; limit %.4f)\n",
-		verdict, name, against, metric, median, n, ratios[0], ratios[n-1], 1+rel)
+	fmt.Printf("%s: %s / %s %s median ratio %.4f, mean %.4f, 95%% CI upper %.4f over %d pairs (min %.4f, max %.4f; limit %.4f)\n",
+		verdict, name, against, metric, median, mean, upper, n, ratios[0], ratios[n-1], 1+rel)
+	return code
+}
+
+// meanUpper95 returns the mean of xs and the upper end of its
+// two-sided 95% Student-t confidence interval; +Inf with fewer than
+// two values, where no interval exists.
+func meanUpper95(xs []float64) (mean, upper float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	n := float64(len(xs))
+	mean /= n
+	if len(xs) < 2 {
+		return mean, math.Inf(1)
+	}
+	var sq float64
+	for _, x := range xs {
+		sq += (x - mean) * (x - mean)
+	}
+	sd := math.Sqrt(sq / (n - 1))
+	return mean, mean + results.TCritical95(len(xs)-1)*sd/math.Sqrt(n)
+}
+
+// runExact gates a deterministic metric: every run of name must report
+// exactly want. It returns the process exit code: 0 when all do, 1
+// otherwise or when no run reports the metric.
+func runExact(rep Report, name, metric string, want float64) int {
+	if name == "" {
+		fmt.Fprintln(os.Stderr, "bench2json: -exact requires -name")
+		return 1
+	}
+	runs := metricRuns(rep, name, metric)
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "bench2json: no %q %s results on stdin\n", name, metric)
+		return 1
+	}
+	bad := 0
+	for _, v := range runs {
+		if v != want {
+			bad++
+		}
+	}
+	verdict, code := "OK", 0
+	if bad > 0 {
+		verdict, code = "REGRESSED", 1
+	}
+	fmt.Printf("%s: %s %s = %v in %d of %d runs\n", verdict, name, metric, want, len(runs)-bad, len(runs))
 	return code
 }
 

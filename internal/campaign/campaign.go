@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -372,12 +374,72 @@ func (s Spec) config(pt Point) node.Config {
 	return cfg
 }
 
+// SpecError reports a Spec value out of range. Field names it
+// ("clients", "loss", "snr_db", "warmup", "measure", "duration") and
+// Value is the offending value.
+type SpecError struct {
+	Field string
+	Value any
+}
+
+func (e *SpecError) Error() string {
+	switch e.Field {
+	case "clients":
+		return fmt.Sprintf("campaign: client count %v (want at least 1)", e.Value)
+	case "loss":
+		return fmt.Sprintf("campaign: loss probability %v (want a value in [0,1])", e.Value)
+	case "snr_db":
+		return fmt.Sprintf("campaign: SNR %v dB (want a finite value)", e.Value)
+	}
+	return fmt.Sprintf("campaign: %s window %v (want a non-negative duration)", e.Field, e.Value)
+}
+
+// Validate checks the numeric ranges a grid point cannot be simulated
+// outside of: every client count ≥ 1, every loss probability in [0,1]
+// (NaN rejected), every SNR finite, and no negative measurement
+// window. It returns a *SpecError for the first bad value. Run,
+// RunContext and RunPoints call it before any point runs, and
+// WireSpec.Spec before it returns a Spec, so bad input becomes an
+// error rather than plausible-looking rows.
+func (s Spec) Validate() error {
+	for _, n := range s.Axes.Clients {
+		if n < 1 {
+			return &SpecError{"clients", n}
+		}
+	}
+	for _, p := range s.Axes.Loss {
+		if !(p >= 0 && p <= 1) { // also rejects NaN
+			return &SpecError{"loss", p}
+		}
+	}
+	for _, snr := range s.Axes.SNRsDB {
+		if math.IsNaN(snr) || math.IsInf(snr, 0) {
+			return &SpecError{"snr_db", snr}
+		}
+	}
+	for _, w := range []struct {
+		name string
+		d    sim.Duration
+	}{{"warmup", s.Warmup}, {"measure", s.Measure}, {"duration", s.Duration}} {
+		if w.d < 0 {
+			return &SpecError{w.name, w.d}
+		}
+	}
+	return nil
+}
+
 // Run executes the sweep on the worker pool and returns one Result per
 // grid point, in Points() order. Each simulation is fully independent
 // (own scheduler, own RNG streams), so the output is identical for any
-// worker count. Run never cancels; RunContext adds that.
+// worker count. Run never cancels; RunContext adds that. Run panics
+// with the Validate error on an invalid spec, since it has no error to
+// return; use RunContext to handle bad input.
 func Run(s Spec) Results {
-	rs, _ := RunContext(context.Background(), s)
+	rs, err := RunContext(context.Background(), s)
+	var invalid *SpecError
+	if errors.As(err, &invalid) {
+		panic(err)
+	}
 	return rs
 }
 
@@ -390,6 +452,9 @@ func Run(s Spec) Results {
 // completed rows sit at their Points() index as usual. The Progress
 // callback (see Spec) fires monotonically throughout.
 func RunContext(ctx context.Context, s Spec) (Results, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	s = s.withDefaults()
 	pts := s.Points()
 	results := make(Results, len(pts))

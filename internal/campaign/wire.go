@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 
 	"tcphack/internal/hack"
@@ -38,8 +37,8 @@ type WireAxes struct {
 }
 
 // Axes parses the wire form back into executable Axes, validating
-// every mode name, rate name, adapter spec and topology name, and the
-// numeric ranges: clients ≥ 1, loss in [0,1], finite SNRs.
+// every mode name, rate name, adapter spec and topology name. Numeric
+// ranges are Spec.Validate's job (WireSpec.Spec runs it).
 func (w WireAxes) Axes() (Axes, error) {
 	var a Axes
 	for _, s := range w.Modes {
@@ -48,11 +47,6 @@ func (w WireAxes) Axes() (Axes, error) {
 			return Axes{}, err
 		}
 		a.Modes = append(a.Modes, m)
-	}
-	for _, n := range w.Clients {
-		if n < 1 {
-			return Axes{}, fmt.Errorf("client count %d (want at least 1)", n)
-		}
 	}
 	a.Clients = append(a.Clients, w.Clients...)
 	a.Seeds = append(a.Seeds, w.Seeds...)
@@ -69,17 +63,7 @@ func (w WireAxes) Axes() (Axes, error) {
 		}
 		a.Adapters = append(a.Adapters, s)
 	}
-	for _, p := range w.Loss {
-		if !(p >= 0 && p <= 1) { // also rejects NaN
-			return Axes{}, fmt.Errorf("loss probability %v (want a value in [0,1])", p)
-		}
-	}
 	a.Loss = append(a.Loss, w.Loss...)
-	for _, snr := range w.SNRsDB {
-		if math.IsNaN(snr) || math.IsInf(snr, 0) {
-			return Axes{}, fmt.Errorf("SNR %v dB (want a finite value)", snr)
-		}
-	}
 	a.SNRsDB = append(a.SNRsDB, w.SNRsDB...)
 	for _, s := range w.Topologies {
 		if _, ok := scenario.TopologyOption(s); !ok {
@@ -141,16 +125,12 @@ func (w WireSpec) ResolvedWorkload() string {
 // named-workload vocabulary. The resolution is deterministic: every
 // process holding the same registry (i.e. the same build) produces an
 // equivalent Spec, which is the distributed layer's correctness
-// foundation. Out-of-range input — a negative measurement window, or
-// an axis value WireAxes.Axes rejects — is an error, never a row.
+// foundation. Bad input — a name WireAxes.Axes rejects, or a value
+// Spec.Validate rejects — is an error, never a row.
 func (w WireSpec) Spec() (Spec, error) {
 	e, ok := scenario.Lookup(w.Scenario)
 	if !ok {
 		return Spec{}, fmt.Errorf("campaign: unknown scenario %q in wire spec", w.Scenario)
-	}
-	if w.Warmup < 0 || w.Measure < 0 || w.Duration < 0 {
-		return Spec{}, fmt.Errorf("campaign: negative window in wire spec (warmup_ns %d, measure_ns %d, duration_ns %d)",
-			w.Warmup, w.Measure, w.Duration)
 	}
 	axes, err := w.Axes.Axes()
 	if err != nil {
@@ -160,7 +140,7 @@ func (w WireSpec) Spec() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{
+	s := Spec{
 		Name:     w.DisplayName(),
 		Base:     e.Config(),
 		Axes:     axes,
@@ -168,7 +148,11 @@ func (w WireSpec) Spec() (Spec, error) {
 		Measure:  w.Measure,
 		Duration: w.Duration,
 		Workload: workload,
-	}, nil
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
 }
 
 // SweptAxes names the axes the wire spec actually sweeps, in canonical
@@ -229,6 +213,9 @@ func (w WireSpec) FingerprintFields(pt Point) map[string]string {
 // points: cancellation returns the rows completed so far with ctx's
 // error, never a half-simulated point.
 func RunPoints(ctx context.Context, s Spec, indexes []int) (Results, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	s = s.withDefaults()
 	pts := s.Points()
 	out := make(Results, 0, len(indexes))

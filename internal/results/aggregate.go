@@ -145,7 +145,7 @@ func summarize(vals []float64) Stat {
 			sq += d * d
 		}
 		s.StdDev = math.Sqrt(sq / float64(s.Count-1))
-		s.CI95 = tCritical95(s.Count-1) * s.StdDev / math.Sqrt(float64(s.Count))
+		s.CI95 = TCritical95(s.Count-1) * s.StdDev / math.Sqrt(float64(s.Count))
 	}
 	return s
 }
@@ -158,12 +158,13 @@ var tCritical95Table = [...]float64{
 	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 }
 
-// tCritical95 returns the two-sided 95% Student-t critical value for
-// df degrees of freedom: exact table values through df=30, the
-// standard coarse table rows (40, 60, 120) beyond, and the normal
-// limit 1.96 for larger samples — at which point the difference from
-// the exact quantile is under half a percent.
-func tCritical95(df int) float64 {
+// TCritical95 returns the two-sided 95% Student-t critical value for
+// df degrees of freedom (0 for df < 1, where no interval exists):
+// exact table values through df=30, the standard coarse table rows
+// (40, 60, 120) beyond, and the normal limit 1.96 for larger samples —
+// at which point the difference from the exact quantile is under half
+// a percent.
+func TCritical95(df int) float64 {
 	switch {
 	case df < 1:
 		return 0

@@ -131,7 +131,9 @@ func canonAxis(col, raw string) (string, error) {
 // (WriteCSV). Axis values are canonicalized, the per_client_mbps
 // column is expanded into per-index metrics, and skipped rows are
 // dropped. Precision is bounded by the emitter's formatting (three
-// decimals on goodputs).
+// decimals on goodputs). A header naming a column twice, or a row
+// defining one metric twice (a per_client_mbps.<i> column alongside
+// the per_client_mbps list), is an error.
 func ReadCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -140,6 +142,9 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	}
 	col := make(map[string]int, len(header))
 	for i, h := range header {
+		if _, dup := col[h]; dup {
+			return nil, fmt.Errorf("results: CSV header names column %q twice", h)
+		}
 		col[h] = i
 	}
 	t := &Table{}
@@ -155,7 +160,14 @@ func ReadCSV(r io.Reader) (*Table, error) {
 			continue
 		}
 		row := Row{Axes: map[string]string{}, Metrics: map[string]float64{}}
-		for name, i := range col {
+		setMetric := func(name string, v float64) error {
+			if _, dup := row.Metrics[name]; dup {
+				return fmt.Errorf("results: CSV row defines metric %s twice", name)
+			}
+			row.Metrics[name] = v
+			return nil
+		}
+		for i, name := range header {
 			switch {
 			case name == "campaign":
 				if t.Campaign == "" {
@@ -172,7 +184,9 @@ func ReadCSV(r io.Reader) (*Table, error) {
 					if err != nil {
 						return nil, fmt.Errorf("results: bad per_client_mbps %q: %v", rec[i], err)
 					}
-					row.Metrics["per_client_mbps."+strconv.Itoa(ci)] = v
+					if err := setMetric("per_client_mbps."+strconv.Itoa(ci), v); err != nil {
+						return nil, err
+					}
 				}
 			case isAxis(name):
 				v, err := canonAxis(name, rec[i])
@@ -185,7 +199,9 @@ func ReadCSV(r io.Reader) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("results: bad metric %s=%q: %v", name, rec[i], err)
 				}
-				row.Metrics[name] = v
+				if err := setMetric(name, v); err != nil {
+					return nil, err
+				}
 			}
 		}
 		t.Rows = append(t.Rows, row)

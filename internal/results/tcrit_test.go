@@ -20,16 +20,16 @@ func TestTCritical95(t *testing.T) {
 		{1000, 1.96}, // normal limit
 	}
 	for _, c := range cases {
-		if got := tCritical95(c.df); got != c.want {
-			t.Errorf("tCritical95(%d) = %v, want %v", c.df, got, c.want)
+		if got := TCritical95(c.df); got != c.want {
+			t.Errorf("TCritical95(%d) = %v, want %v", c.df, got, c.want)
 		}
 	}
 	// Monotone non-increasing in df: more data never widens the interval.
-	prev := tCritical95(1)
+	prev := TCritical95(1)
 	for df := 2; df <= 200; df++ {
-		cur := tCritical95(df)
+		cur := TCritical95(df)
 		if cur > prev {
-			t.Fatalf("tCritical95 not monotone at df=%d: %v > %v", df, cur, prev)
+			t.Fatalf("TCritical95 not monotone at df=%d: %v > %v", df, cur, prev)
 		}
 		prev = cur
 	}
