@@ -300,10 +300,7 @@ func NewDriver(sched *sim.Scheduler, cfg Config) *Driver {
 // Mode returns the driver's holding policy.
 func (d *Driver) Mode() Mode { return d.cfg.Mode }
 
-func (d *Driver) peer(a mac.Addr) *peerState {
-	p, _ := d.peers.Get(a)
-	return p
-}
+func (d *Driver) peer(a mac.Addr) *peerState { return d.peers.Get(a) }
 
 // PeerState reports the recovery-machine state toward peer (tests and
 // diagnostics).

@@ -9,7 +9,7 @@ package mac
 // zero value is an empty table.
 type PeerTable[T any] struct {
 	index []peerSlot[T] // sorted by addr
-	last  *T            // state for lastAddr, nil before the first hit
+	last  *T            // state for lastA, nil before the first Get
 	lastA Addr
 }
 
@@ -18,32 +18,19 @@ type peerSlot[T any] struct {
 	p    *T
 }
 
-// Lookup returns the state for a, or nil if a was never contacted.
-func (t *PeerTable[T]) Lookup(a Addr) *T {
+// Get returns the state for a, creating a zero T on first contact.
+func (t *PeerTable[T]) Get(a Addr) *T {
 	if t.last != nil && t.lastA == a {
 		return t.last
 	}
 	i := t.search(a)
 	if i == len(t.index) || t.index[i].addr != a {
-		return nil
+		t.index = append(t.index, peerSlot[T]{})
+		copy(t.index[i+1:], t.index[i:])
+		t.index[i] = peerSlot[T]{a, new(T)}
 	}
 	t.last, t.lastA = t.index[i].p, a
 	return t.last
-}
-
-// Get returns the state for a, creating a zero T on first contact;
-// created reports whether it did.
-func (t *PeerTable[T]) Get(a Addr) (p *T, created bool) {
-	if p = t.Lookup(a); p != nil {
-		return p, false
-	}
-	p = new(T)
-	i := t.search(a)
-	t.index = append(t.index, peerSlot[T]{})
-	copy(t.index[i+1:], t.index[i:])
-	t.index[i] = peerSlot[T]{a, p}
-	t.last, t.lastA = p, a
-	return p, true
 }
 
 // search returns the first index position whose address is ≥ a.

@@ -348,7 +348,7 @@ func (st *Station) Backlogged() bool {
 // queue returns the transmit queue toward dst, creating it (and
 // appending it to the round-robin cycle) on first use.
 func (st *Station) queue(dst Addr) *destQueue {
-	p, _ := st.peers.Get(dst)
+	p := st.peers.Get(dst)
 	if !p.hasQ {
 		p.hasQ = true
 		p.q.dst = dst
@@ -709,7 +709,7 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	}
 	st.dcf.noteRxOK()
 
-	p, _ := st.peers.Get(f.From)
+	p := st.peers.Get(f.From)
 	progress := true
 	if !f.Aggregated {
 		progress = !p.rxSeen || seqLT(p.rxLastSeq, decoded[0].Seq)
@@ -739,7 +739,7 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 // baRecipient returns the Block ACK recipient for frames from addr,
 // creating it on first use.
 func (st *Station) baRecipient(addr Addr) *baRecipient {
-	p, _ := st.peers.Get(addr)
+	p := st.peers.Get(addr)
 	return st.baRecipientOf(p, addr)
 }
 

@@ -814,3 +814,24 @@ func TestDamageSurface(t *testing.T) {
 		t.Error("decompressor ResyncNeeded true after IR heal")
 	}
 }
+
+// TestCIDCacheBeyondCapacity: the memoized CID always equals the MD5
+// CID, for flows inside the cache, flows that evicted others, and
+// evicted flows coming back.
+func TestCIDCacheBeyondCapacity(t *testing.T) {
+	var c cidCache
+	tuple := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{Src: packet.IP(10, 0, 0, 1), Dst: packet.IP(192, 168, 0, byte(i)),
+			SrcPort: uint16(5000 + i), DstPort: 80, Proto: packet.ProtoTCP}
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3*cidCacheCap; i++ {
+			if got, want := c.cid(tuple(i)), CID(tuple(i)); got != want {
+				t.Fatalf("round %d flow %d: cached CID %d, want %d", round, i, got, want)
+			}
+		}
+	}
+	if len(c.entries) != cidCacheCap {
+		t.Errorf("cache holds %d flows, want the cap %d", len(c.entries), cidCacheCap)
+	}
+}
