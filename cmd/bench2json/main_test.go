@@ -29,7 +29,7 @@ func TestRunComparePairedMedian(t *testing.T) {
 	}{
 		// Ratios 0.97–1.01: median 0.995 and CI upper ≈1.012, both
 		// inside 3%.
-		{"median and CI inside bound", []float64{97, 100, 99, 101, 100, 98}, []float64{100, 100, 100, 100, 100, 100}, 0},
+		{"median inside bound", []float64{97, 100, 99, 101, 100, 98}, []float64{100, 100, 100, 100, 100, 100}, 0},
 		// Ratios 0.9, 1.0, 1.02, 5.0: the median (1.01) is inside 3%,
 		// but the outlier pair widens the interval past the bound —
 		// the pairs do not resolve the ratio, so the gate fails.

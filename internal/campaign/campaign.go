@@ -382,6 +382,7 @@ type SpecError struct {
 	Value any
 }
 
+// Error describes the bad value and the accepted range.
 func (e *SpecError) Error() string {
 	switch e.Field {
 	case "clients":
@@ -431,9 +432,11 @@ func (s Spec) Validate() error {
 // Run executes the sweep on the worker pool and returns one Result per
 // grid point, in Points() order. Each simulation is fully independent
 // (own scheduler, own RNG streams), so the output is identical for any
-// worker count. Run never cancels; RunContext adds that. Run panics
-// with the Validate error on an invalid spec, since it has no error to
-// return; use RunContext to handle bad input.
+// worker count. Run never cancels; RunContext adds that. Run is for
+// specs the calling code fixes, where a value Validate rejects is a
+// bug: it panics with the Validate error rather than return rows.
+// Specs built from outside input go through WireSpec.Spec or
+// RunContext, which return the error.
 func Run(s Spec) Results {
 	rs, err := RunContext(context.Background(), s)
 	var invalid *SpecError

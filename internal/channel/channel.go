@@ -402,8 +402,11 @@ func (m *Medium) finish(tx *Transmission) {
 			m.senseMW[j] -= row[j]
 		}
 	}
-	thr := SINRThresholdDB(tx.Rate) + m.marginDB
 	floor, noise, interf := m.floorMW, m.noiseMW, tx.interfMax
+	var thr float64 // the capture threshold matters only after an overlap
+	if interf != nil {
+		thr = SINRThresholdDB(tx.Rate) + m.marginDB
+	}
 	out := m.scratchOut
 	for j := range out {
 		out[j] = rxNone

@@ -722,7 +722,7 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 	})
 
 	if f.Aggregated {
-		r := st.baRecipientOf(p, f.From)
+		r := st.baRecipient(f.From)
 		for _, m := range decoded {
 			r.receive(m)
 		}
@@ -740,10 +740,6 @@ func (st *Station) rxData(f *DataFrame, tx *channel.Transmission) {
 // creating it on first use.
 func (st *Station) baRecipient(addr Addr) *baRecipient {
 	p := st.peers.Get(addr)
-	return st.baRecipientOf(p, addr)
-}
-
-func (st *Station) baRecipientOf(p *peer, addr Addr) *baRecipient {
 	if p.ba == nil {
 		p.ba = newBARecipient(st, addr)
 	}
