@@ -175,8 +175,8 @@ type Pool struct {
 }
 
 // pooled is one freelist object: a packet together with the TCP and
-// UDP headers it points at, so a packet costs one allocation for its
-// whole lifetime in the pool.
+// UDP headers it points at, so a packet and its headers are one object
+// for their whole lifetime in the pool.
 type pooled struct {
 	pkt  Packet
 	tcp  TCP
