@@ -1,6 +1,7 @@
 // Benchmarks for the campaign runner — the engine every experiment
-// rides on — plus ablations of the design choices DESIGN.md calls out
-// and a raw simulator event-rate measurement. The campaign benchmark
+// rides on — plus ablations of the paper's design choices (README,
+// "Reproducing the paper's results") and a raw simulator event-rate
+// measurement. The campaign benchmark
 // runs the same grid at -workers 1 and NumCPU so the reported
 // per-iteration times measure the parallel speedup directly
 // (`go test -bench=CampaignRun` prints both). cmd/hackbench
@@ -72,7 +73,7 @@ func BenchmarkCampaignRun(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (README, "Reproducing the paper's results") ---
 
 func ablationRun(b *testing.B, mutate func(*node.Config)) float64 {
 	cfg := NewScenario(With80211n(), WithMode(ModeMoreData), WithClients(1))

@@ -747,14 +747,14 @@ func (n *Network) finishFlow(f *Flow, ci int, sender, receiver *tcp.Endpoint, to
 		f.DoneAt = n.Sched.Now()
 	}
 	receiver.Listen()
-	n.Sched.At(sim.Time(startAt), func() {
+	n.Sched.Post(sim.Time(startAt), func(any) {
 		if totalBytes == 0 {
 			sender.SendForever()
 		} else {
 			sender.Send(totalBytes)
 		}
 		sender.Connect()
-	})
+	}, nil)
 	n.Flows = append(n.Flows, f)
 	return f
 }

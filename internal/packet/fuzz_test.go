@@ -9,7 +9,8 @@ import (
 // FuzzMarshalRoundTrip builds a TCP segment from the fuzzed fields —
 // 0 to 4 SACK blocks drawn from sacks, 8 bytes each (at most 3 next to
 // timestamps, which is all the option space holds) — and requires
-// MarshalAppend→Unmarshal to reproduce every header field.
+// every encoder to match the reference one and Marshal→Unmarshal to
+// reproduce every header field.
 func FuzzMarshalRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint32(2920), uint32(100), uint32(90), uint16(4096), uint16(7), uint16(0), byte(FlagACK), true, []byte{})
 	f.Add(uint32(5), uint32(1000), uint32(9), uint32(8), uint16(512), uint16(11), uint16(0), byte(FlagACK), true,
@@ -32,13 +33,14 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 			p.TCP.Opt.AppendSACK(binary.BigEndian.Uint32(sacks), binary.BigEndian.Uint32(sacks[4:]))
 			sacks = sacks[8:]
 		}
-		b := p.MarshalAppend(nil)
+		checkEncoders(t, p)
+		b := p.Marshal()
 		if len(b) != p.Len() {
 			t.Fatalf("wire image %d bytes, Len %d", len(b), p.Len())
 		}
 		q, err := Unmarshal(b)
 		if err != nil {
-			t.Fatalf("Unmarshal(MarshalAppend): %v", err)
+			t.Fatalf("Unmarshal(Marshal): %v", err)
 		}
 		want := p.IP
 		want.Length = uint16(p.Len())
@@ -52,7 +54,7 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 // FuzzUnmarshal feeds arbitrary bytes to the validating parser. It
 // must never panic, and whatever it accepts must re-encode to a wire
 // image that parses back to the same headers and is a fixed point of
-// MarshalAppend (unknown options and payload bytes are not modelled,
+// Marshal (unknown options and payload bytes are not modelled,
 // so the first image itself need not be reproduced).
 func FuzzUnmarshal(f *testing.F) {
 	ack := tcpAck(100, 2920)
@@ -70,7 +72,8 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		img := p.MarshalAppend(nil)
+		checkEncoders(t, p)
+		img := p.Marshal()
 		q, err := Unmarshal(img)
 		if err != nil {
 			t.Fatalf("re-encoded image rejected: %v", err)
@@ -89,7 +92,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if (p.UDP == nil) != (q.UDP == nil) || p.UDP != nil && (p.UDP.SrcPort != q.UDP.SrcPort || p.UDP.DstPort != q.UDP.DstPort) {
 			t.Fatalf("UDP header %+v, re-parsed %+v", p.UDP, q.UDP)
 		}
-		if again := q.MarshalAppend(nil); !bytes.Equal(again, img) {
+		if again := q.Marshal(); !bytes.Equal(again, img) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", img, again)
 		}
 	})

@@ -7,10 +7,10 @@
 // sizes measured in experiments reflect genuine header redundancy, not
 // a toy encoding.
 //
-// Hot paths that marshal per packet use MarshalAppend with a retained
-// scratch buffer instead of Marshal; the two produce identical bytes,
-// but the append form is allocation-free once its buffer has grown to
-// the working size.
+// Hot paths that need a packet's bytes avoid Marshal's allocation with
+// PutHeader, which writes the header bytes into a fixed-size array:
+// the payload bytes are zero, so they carry no information. Both write
+// identical bytes from one encoder.
 //
 // # Packet ownership
 //
@@ -423,85 +423,110 @@ func parseTCPOptions(b []byte) (TCPOptions, error) {
 	return o, nil
 }
 
+// MaxHeaderLen is the longest header PutHeader writes: IPv4 plus a TCP
+// header carrying every option this package encodes (MSS, window
+// scale, SACK-permitted, timestamps and MaxSACKBlocks SACK blocks,
+// padded to a 4-byte boundary).
+const MaxHeaderLen = IPv4HeaderLen + TCPHeaderLen + (4+3+2+10+2+8*MaxSACKBlocks+3)&^3
+
 // Marshal encodes the packet's headers into wire format. The payload
 // is represented by PayloadLen zero bytes so checksums are stable and
 // sizes exact.
 func (p *Packet) Marshal() []byte {
 	b := make([]byte, p.Len())
-	p.marshalInto(b)
+	p.putHeader(b)
 	return b
 }
 
-// MarshalAppend appends the packet's wire image to buf and returns the
-// extended slice, allocating only when buf lacks capacity. Hot paths
-// that marshal per packet (the ROHC header CRC) call it with a
-// per-owner scratch buffer re-sliced to zero length, making the
-// steady-state encode allocation-free:
-//
-//	c.scratch = p.MarshalAppend(c.scratch[:0])
-//
-// The appended bytes are identical to Marshal's output.
-func (p *Packet) MarshalAppend(buf []byte) []byte {
-	n := p.Len()
-	off := len(buf)
-	if cap(buf)-off < n {
-		grown := make([]byte, off+n, 2*(off+n))
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:off+n]
-	}
-	seg := buf[off:]
-	// Scratch reuse can hand back stale bytes; the encoders below skip
-	// reserved fields and the zero payload, so clear first (compiles to
-	// one memclr).
-	for i := range seg {
-		seg[i] = 0
-	}
-	p.marshalInto(seg)
-	return buf
-}
+// PutHeader writes the header bytes of p's wire image — Marshal's
+// output without the payload's trailing zero bytes — into b and
+// returns how many it wrote. It allocates nothing and needs no cleared
+// buffer; the ROHC header CRC builds its image with it.
+func (p *Packet) PutHeader(b *[MaxHeaderLen]byte) int { return p.putHeader(b[:]) }
 
-// marshalInto encodes the packet into b, which must be exactly Len()
-// zeroed bytes.
-func (p *Packet) marshalInto(b []byte) {
+// putHeader writes every byte of p's IPv4 and TCP/UDP headers into b
+// and returns their length; the payload that follows them on the wire
+// is PayloadLen zero bytes, which putHeader leaves to the caller. Zero
+// bytes add nothing to an Internet checksum, so both checksums are
+// folded from the header fields — plus the option bytes just written —
+// instead of being re-read from b: the sums are the same 16-bit words
+// Checksum would add, so the result is bit-identical.
+func (p *Packet) putHeader(b []byte) int {
 	ip := &p.IP
+	hl := IPv4HeaderLen
+	optLen := 0
+	switch {
+	case p.TCP != nil:
+		optLen = p.TCP.Opt.wireLen()
+		hl += TCPHeaderLen + optLen
+	case p.UDP != nil:
+		hl += UDPHeaderLen
+	}
+	total := uint16(hl + p.PayloadLen)
+	addrs := uint32(ip.Src[0])<<8 | uint32(ip.Src[1])
+	addrs += uint32(ip.Src[2])<<8 | uint32(ip.Src[3])
+	addrs += uint32(ip.Dst[0])<<8 | uint32(ip.Dst[1])
+	addrs += uint32(ip.Dst[2])<<8 | uint32(ip.Dst[3])
+
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = ip.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(p.Len()))
+	binary.BigEndian.PutUint16(b[2:], total)
 	binary.BigEndian.PutUint16(b[4:], ip.ID)
+	b[6], b[7] = 0, 0 // flags, fragment offset
 	b[8] = ip.TTL
 	b[9] = ip.Protocol
 	copy(b[12:16], ip.Src[:])
 	copy(b[16:20], ip.Dst[:])
-	binary.BigEndian.PutUint16(b[10:], 0)
-	binary.BigEndian.PutUint16(b[10:], Checksum(b[:IPv4HeaderLen]))
+	sum := 0x4500 | uint32(ip.TOS)
+	sum += uint32(total) + uint32(ip.ID)
+	sum += uint32(ip.TTL)<<8 | uint32(ip.Protocol)
+	binary.BigEndian.PutUint16(b[10:], fold(sum+addrs))
 
+	// The TCP/UDP checksum covers the pseudo-header (addresses,
+	// protocol, segment length) and the segment itself.
+	segLen := uint16(hl - IPv4HeaderLen + p.PayloadLen)
+	seg := b[IPv4HeaderLen:hl]
 	switch {
 	case p.TCP != nil:
 		t := p.TCP
-		seg := b[IPv4HeaderLen:]
 		binary.BigEndian.PutUint16(seg[0:], t.SrcPort)
 		binary.BigEndian.PutUint16(seg[2:], t.DstPort)
 		binary.BigEndian.PutUint32(seg[4:], t.Seq)
 		binary.BigEndian.PutUint32(seg[8:], t.Ack)
-		optLen := t.Opt.wireLen()
 		seg[12] = byte((TCPHeaderLen+optLen)/4) << 4
 		seg[13] = t.Flags
 		binary.BigEndian.PutUint16(seg[14:], t.Window)
 		binary.BigEndian.PutUint16(seg[18:], t.Urgent)
-		t.Opt.marshal(seg[TCPHeaderLen : TCPHeaderLen+optLen])
-		binary.BigEndian.PutUint16(seg[16:], 0)
-		binary.BigEndian.PutUint16(seg[16:], pseudoChecksum(ip, ProtoTCP, seg))
+		opts := seg[TCPHeaderLen:]
+		t.Opt.marshal(opts)
+		sum := addrs + ProtoTCP + uint32(segLen)
+		sum += uint32(t.SrcPort) + uint32(t.DstPort)
+		sum += t.Seq>>16 + t.Seq&0xffff + t.Ack>>16 + t.Ack&0xffff
+		sum += uint32(seg[12])<<8 | uint32(t.Flags)
+		sum += uint32(t.Window) + uint32(t.Urgent)
+		for i := 0; i < len(opts); i += 2 { // optLen is a multiple of 4
+			sum += uint32(opts[i])<<8 | uint32(opts[i+1])
+		}
+		binary.BigEndian.PutUint16(seg[16:], fold(sum))
 	case p.UDP != nil:
 		u := p.UDP
-		seg := b[IPv4HeaderLen:]
 		binary.BigEndian.PutUint16(seg[0:], u.SrcPort)
 		binary.BigEndian.PutUint16(seg[2:], u.DstPort)
-		binary.BigEndian.PutUint16(seg[4:], uint16(UDPHeaderLen+p.PayloadLen))
-		binary.BigEndian.PutUint16(seg[6:], 0)
-		binary.BigEndian.PutUint16(seg[6:], pseudoChecksum(ip, ProtoUDP, seg))
+		binary.BigEndian.PutUint16(seg[4:], segLen)
+		sum := addrs + ProtoUDP + 2*uint32(segLen)
+		sum += uint32(u.SrcPort) + uint32(u.DstPort)
+		binary.BigEndian.PutUint16(seg[6:], fold(sum))
 	}
+	return hl
+}
+
+// fold finishes an Internet checksum from the plain sum of its 16-bit
+// words: end-around carries, then the one's complement.
+func fold(sum uint32) uint16 {
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + sum>>16
+	}
+	return ^uint16(sum)
 }
 
 // Unmarshal parses a wire-format IP datagram produced by Marshal (or
@@ -590,10 +615,7 @@ func Checksum(b []byte) uint16 {
 	if len(b)%2 == 1 {
 		sum += uint32(b[len(b)-1]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return fold(sum)
 }
 
 // pseudoChecksum computes the TCP/UDP checksum including the IPv4
@@ -614,10 +636,7 @@ func pseudoChecksum(ip *IPv4, proto byte, seg []byte) uint16 {
 	if len(seg)%2 == 1 {
 		sum += uint32(seg[len(seg)-1]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return fold(sum)
 }
 
 // FiveTuple identifies a TCP flow.

@@ -67,7 +67,8 @@ func TestPooledCodecAllocFree(t *testing.T) {
 		acks[i] = f.ackPkt(2920)
 	}
 	buf := make([]byte, 0, MaxRecordLen+1)
-	var frame, got, want []byte
+	var frame []byte
+	var got, want [packet.MaxHeaderLen]byte
 	var res Result
 	i := 0
 	step := func() {
@@ -79,8 +80,8 @@ func TestPooledCodecAllocFree(t *testing.T) {
 		if err := d.Decompress(frame, &res); err != nil || len(res.Packets) != 1 {
 			t.Fatalf("ack %d: err=%v packets=%d", i, err, len(res.Packets))
 		}
-		got, want = res.Packets[0].MarshalAppend(got[:0]), acks[i].MarshalAppend(want[:0])
-		if string(got) != string(want) {
+		n, m := res.Packets[0].PutHeader(&got), acks[i].PutHeader(&want)
+		if string(got[:n]) != string(want[:m]) {
 			t.Fatalf("ack %d reconstructed differently", i)
 		}
 		releaseAll(&res)
@@ -125,7 +126,8 @@ func TestDecompressReleasesRejected(t *testing.T) {
 
 // FuzzDecompress feeds arbitrary frames to a decompressor holding a
 // live context. It must never panic, and everything it returns must be
-// a well-formed pure ACK drawn from its pool.
+// a well-formed pure ACK drawn from its pool whose header CRC matches
+// the bitwise reference over its wire image.
 func FuzzDecompress(f *testing.F) {
 	fl := newFlow(true)
 	c, _ := pair(fl)
@@ -154,6 +156,7 @@ func FuzzDecompress(f *testing.F) {
 				if _, err := packet.Unmarshal(p.Marshal()); err != nil {
 					t.Fatalf("reconstituted ACK does not parse: %v", err)
 				}
+				checkHeaderCRC(t, p)
 			}
 			releaseAll(&res)
 		}
@@ -163,7 +166,8 @@ func FuzzDecompress(f *testing.F) {
 // FuzzCompressRoundTrip compresses two ACKs built from the fuzzed
 // fields — the first travels as an IR, the second as a delta against
 // it, each with 0 to 3 SACK blocks — and requires the pooled
-// reconstruct path to reproduce both headers exactly.
+// reconstruct path to reproduce both headers exactly, and the header
+// CRC of every ACK built or rebuilt to match the bitwise reference.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add(uint32(2920), uint32(2920), uint16(1), uint16(1), uint32(1), uint32(1), uint16(8192), int32(0), true, []byte{})
 	f.Add(uint32(0), uint32(1460), uint16(2), uint16(7), uint32(0), uint32(40), uint16(512), int32(-3), true,
@@ -192,6 +196,7 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 		var res Result
 		for i, p := range []*packet.Packet{build(ackD1, ipIDD1, tsD1), build(ackD2, ipIDD2, tsD2)} {
+			checkHeaderCRC(t, p)
 			data, ok := compress1(c, p)
 			if !ok {
 				t.Fatalf("ack %d did not compress", i)
@@ -202,6 +207,7 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			if err := d.Decompress(data, &res); err != nil || len(res.Packets) != 1 {
 				t.Fatalf("ack %d: err=%v packets=%d failures=%d dups=%d", i, err, len(res.Packets), res.Failures, res.Duplicates)
 			}
+			checkHeaderCRC(t, res.Packets[0])
 			if !sameHeader(p, res.Packets[0]) {
 				t.Fatalf("ack %d reconstructed differently:\n got %v %+v\nwant %v %+v",
 					i, res.Packets[0], res.Packets[0].TCP.Opt, p, p.TCP.Opt)

@@ -7,9 +7,10 @@ import (
 	"tcphack/internal/packet"
 )
 
-// TestCRC8TableMatchesBitwise golden-tests the lookup-table CRC
-// against the bitwise RFC 5795 reference over random inputs and the
-// edge cases (empty, single bytes, long runs).
+// TestCRC8TableMatchesBitwise golden-tests the sliced CRC against the
+// bitwise RFC 5795 reference: every single byte, and random inputs of
+// every length from 0 to 130, so each tail length after the 8-byte
+// blocks (and each block count up to 16) is exercised.
 func TestCRC8TableMatchesBitwise(t *testing.T) {
 	if got, want := crc8(nil), byte(0xff); got != want {
 		t.Errorf("crc8(nil) = %#x, want %#x", got, want)
@@ -21,13 +22,27 @@ func TestCRC8TableMatchesBitwise(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		buf := make([]byte, rng.Intn(128))
-		rng.Read(buf)
-		if got, want := crc8(buf), crc8Bitwise(buf); got != want {
-			t.Fatalf("crc8(%x) = %#x, bitwise %#x", buf, got, want)
+	for n := 0; n <= 130; n++ {
+		buf := make([]byte, n)
+		for i := 0; i < 8; i++ {
+			rng.Read(buf)
+			if got, want := crc8(buf), crc8Bitwise(buf); got != want {
+				t.Fatalf("crc8(%x) = %#x, bitwise %#x", buf, got, want)
+			}
 		}
 	}
+}
+
+// FuzzCRC8 requires the sliced CRC to match the bitwise reference on
+// arbitrary input. The seed corpus lives in testdata/fuzz/FuzzCRC8.
+func FuzzCRC8(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0, 0xff, 0, 0xff, 0, 0xff, 0, 0x5a})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := crc8(data), crc8Bitwise(data); got != want {
+			t.Fatalf("crc8(%x) = %#x, bitwise %#x", data, got, want)
+		}
+	})
 }
 
 func testAck(seed int64) *packet.Packet {
@@ -47,8 +62,8 @@ func testAck(seed int64) *packet.Packet {
 }
 
 // TestHotPathAllocFree pins the per-packet ROHC primitives at zero
-// allocations: the table CRC, the memoized CID lookup, and the
-// scratch-buffer header CRC (after its buffer has warmed).
+// allocations — the sliced CRC, the memoized CID lookup and the header
+// CRC — and checks the header CRC against the bitwise reference.
 func TestHotPathAllocFree(t *testing.T) {
 	p := testAck(1)
 	wire := p.Marshal()
@@ -66,14 +81,30 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Error("memoized CID disagrees with the MD5 definition")
 	}
 
-	var scratch []byte
-	headerCRC(p, &scratch) // warm the scratch buffer
-	want := crc8(wire)
-	if n := testing.AllocsPerRun(200, func() { headerCRC(p, &scratch) }); n != 0 {
-		t.Errorf("headerCRC (warm scratch): %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { headerCRC(p) }); n != 0 {
+		t.Errorf("headerCRC: %v allocs/op, want 0", n)
 	}
-	if got := headerCRC(p, &scratch); got != want {
-		t.Errorf("headerCRC = %#x, want crc8(Marshal) = %#x", got, want)
+	for _, q := range []*packet.Packet{p, testAck(3)} {
+		checkHeaderCRC(t, q)
+	}
+	// The wire image includes the payload's zero bytes, and UDP or
+	// bare IP packets have headers of their own shape.
+	data := testAck(4)
+	data.PayloadLen = 1448
+	checkHeaderCRC(t, data)
+	checkHeaderCRC(t, &packet.Packet{
+		IP:  packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP(1, 2, 3, 4), Dst: packet.IP(5, 6, 7, 8)},
+		UDP: &packet.UDP{SrcPort: 9, DstPort: 9}, PayloadLen: 17,
+	})
+	checkHeaderCRC(t, &packet.Packet{IP: packet.IPv4{TTL: 1, Protocol: 47}, PayloadLen: 3})
+}
+
+// checkHeaderCRC requires headerCRC, which builds its image without
+// marshalling, to equal the bitwise reference CRC over Marshal's bytes.
+func checkHeaderCRC(t *testing.T, p *packet.Packet) {
+	t.Helper()
+	if got, want := headerCRC(p), crc8Bitwise(p.Marshal()); got != want {
+		t.Fatalf("headerCRC(%v) = %#x, crc8Bitwise(Marshal) = %#x", p, got, want)
 	}
 }
 

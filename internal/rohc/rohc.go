@@ -144,12 +144,32 @@ var crc8Table = func() (tbl [256]byte) {
 	return tbl
 }()
 
+// crc8Slices[k] is crc8Table followed by k zero bytes:
+// crc8Slices[k][x] is the register after feeding x and then k zeros
+// into a zeroed register. The CRC is linear, so eight bytes fold into
+// the register with eight independent lookups (slicing-by-8).
+var crc8Slices = func() (tbl [8][256]byte) {
+	tbl[0] = crc8Table
+	for k := 1; k < len(tbl); k++ {
+		for i := range tbl[k] {
+			tbl[k][i] = crc8Table[tbl[k-1][i]]
+		}
+	}
+	return tbl
+}()
+
 // crc8 implements the ROHC CRC-8 (RFC 5795 §5.3.1.1: polynomial
 // x^8 + x^2 + x + 1), computed over the original uncompressed header
 // bytes so the decompressor can validate its reconstruction.
-// Table-driven; bit-identical to crc8Bitwise.
+// Slicing-by-8 over whole 8-byte blocks, one table lookup per tail
+// byte; bit-identical to crc8Bitwise.
 func crc8(data []byte) byte {
 	crc := byte(0xff)
+	t := &crc8Slices
+	for ; len(data) >= 8; data = data[8:] {
+		crc = t[7][crc^data[0]] ^ t[6][data[1]] ^ t[5][data[2]] ^ t[4][data[3]] ^
+			t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]]
+	}
 	for _, b := range data {
 		crc = crc8Table[crc^b]
 	}
@@ -174,12 +194,17 @@ func crc8Bitwise(data []byte) byte {
 	return crc
 }
 
-// headerCRC computes the validation CRC over a pure ACK's wire image,
-// marshalling into the caller's scratch buffer (retained across calls)
-// so the steady-state path performs no allocation.
-func headerCRC(p *packet.Packet, scratch *[]byte) byte {
-	*scratch = p.MarshalAppend((*scratch)[:0])
-	return crc8(*scratch)
+// headerCRC computes the validation CRC over p's wire image (the
+// bytes Marshal returns): the header bytes, written into a stack array
+// by PutHeader, then the payload's zero bytes — none for the pure
+// ACKs the codecs carry.
+func headerCRC(p *packet.Packet) byte {
+	var hdr [packet.MaxHeaderLen]byte
+	crc := crc8(hdr[:p.PutHeader(&hdr)])
+	for i := 0; i < p.PayloadLen; i++ {
+		crc = crc8Table[crc]
+	}
+	return crc
 }
 
 // Compressed-format flag bits (high nibble of the second byte).
@@ -316,7 +341,6 @@ func tupleOf(p *packet.Packet) packet.FiveTuple {
 type Compressor struct {
 	contexts contextTable
 	cids     cidCache
-	scratch  []byte // headerCRC marshal buffer
 }
 
 // NewCompressor returns an empty compressor.
@@ -583,7 +607,7 @@ func (c *Compressor) Compress(dst []byte, p *packet.Packet) (data []byte, msn ui
 			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(length))]...)
 		}
 	}
-	buf = append(buf, headerCRC(p, &c.scratch))
+	buf = append(buf, headerCRC(p))
 
 	// Commit the context only after a successful encode.
 	ctx.seq, ctx.ack = t.Seq, t.Ack
@@ -634,7 +658,7 @@ func (c *Compressor) compressIR(dst []byte, p *packet.Packet, ctx *context, cid 
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(rel))]...)
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(length))]...)
 	}
-	buf = append(buf, headerCRC(p, &c.scratch))
+	buf = append(buf, headerCRC(p))
 
 	ctx.absorb(p)
 	ctx.refreshed = false
@@ -703,7 +727,6 @@ type Decompressor struct {
 
 	contexts contextTable
 	cids     cidCache
-	scratch  []byte // headerCRC marshal buffer
 
 	// Per-frame MSN chain (the prevMSN map of Decompress, flattened):
 	// prevMSN[cid] is valid for the current frame iff prevEpoch[cid]
@@ -960,7 +983,7 @@ func (d *Decompressor) one(b []byte, res *Result) (int, error) {
 		ctx.seq+uint32(seqD), ctx.ack+uint32(ackD), window,
 		opt&optTS != 0, ctx.tsVal+uint32(tsValD), ctx.tsEcr+uint32(tsEcrD), sacks)
 
-	if headerCRC(p, &d.scratch) != wantCRC {
+	if headerCRC(p) != wantCRC {
 		// Context damage: reject and distrust until a native or IR
 		// refresh (paper §3.4 — damage must not persist; the flow's
 		// next anchor restores synchronization).
@@ -1036,7 +1059,7 @@ func (d *Decompressor) installIR(f irFields, ctx *context, res *Result) error {
 
 	p := d.reconstruct(f.tuple, f.tos, f.ttl, f.ipID, f.seq, f.ack, f.window,
 		f.hasTS, f.tsVal, f.tsEcr, f.sacks)
-	if headerCRC(p, &d.scratch) != f.wantCRC {
+	if headerCRC(p) != f.wantCRC {
 		// An IR is self-contained, so a CRC mismatch means the frame
 		// itself is damaged; the context keeps whatever trust it had.
 		p.Release()

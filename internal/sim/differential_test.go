@@ -1,13 +1,18 @@
 // Differential scheduler harness: the binary heap (the engine's
-// original backend) and the timing wheel are driven from one recorded
-// workload — randomized arm/cancel/Reset/Post programs and event
-// traces captured from real ht150 networks — and must produce
-// identical fire order, handle states, and clocks. The heap is the
-// oracle: any divergence is a wheel ordering bug.
+// original backend), the timing wheel and an independent reference —
+// a slice kept sorted by (at, seq), with no queue structure and no
+// same-instant chaining — are driven from one recorded workload:
+// randomized arm/cancel/Reset/Post programs, including bursts of
+// same-instant Posts, and event traces captured from real ht150
+// networks. All must produce identical fire order, pending counts,
+// handle states and clocks. Heap vs wheel catches a queue ordering
+// bug; either backend vs the reference also catches a bug in the
+// chaining layer above both backends.
 package sim_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tcphack/internal/hack"
@@ -15,6 +20,153 @@ import (
 	"tcphack/internal/scenario"
 	"tcphack/internal/sim"
 )
+
+// handle is a timer handle as the op interpreter sees it.
+type handle interface{ Pending() bool }
+
+// scheduler is the surface the op interpreter drives: a sim backend
+// through simSched, or refSched.
+type scheduler interface {
+	Now() sim.Time
+	At(at sim.Time, fn func()) handle
+	After(d sim.Duration, fn func()) handle
+	Post(at sim.Time, fn func(any), arg any)
+	PostAfter(d sim.Duration, fn func(any), arg any)
+	NewTimer(fn func()) handle
+	Reset(h handle, at sim.Time)
+	Cancel(h handle)
+	Step() bool
+	RunUntil(limit sim.Time)
+	Pending() int
+	EventsFired() uint64
+}
+
+// simSched adapts *sim.Scheduler to the interpreter's handle type.
+type simSched struct{ *sim.Scheduler }
+
+func (s simSched) At(at sim.Time, fn func()) handle       { return s.Scheduler.At(at, fn) }
+func (s simSched) After(d sim.Duration, fn func()) handle { return s.Scheduler.After(d, fn) }
+func (s simSched) NewTimer(fn func()) handle              { return sim.NewTimer(fn) }
+func (s simSched) Reset(h handle, at sim.Time)            { s.Scheduler.Reset(h.(*sim.Timer), at) }
+func (s simSched) Cancel(h handle) {
+	t, _ := h.(*sim.Timer)
+	s.Scheduler.Cancel(t)
+}
+
+func backend(b sim.Backend) scheduler { return simSched{sim.NewSchedulerBackend(1, b)} }
+
+// refSched is the reference scheduler: every pending event in one
+// slice sorted by (at, seq), inserted and removed by binary search.
+type refSched struct {
+	now   sim.Time
+	seq   uint64
+	fired uint64
+	q     []*refTimer
+}
+
+type refTimer struct {
+	at         sim.Time
+	seq        uint64
+	fn         func()
+	fnArg      func(any)
+	arg        any
+	pending    bool
+	persistent bool
+}
+
+func (t *refTimer) Pending() bool { return t.pending }
+
+func reference() scheduler { return &refSched{} }
+
+// find returns the index of the first pending event not before (at, seq).
+func (r *refSched) find(at sim.Time, seq uint64) int {
+	return sort.Search(len(r.q), func(i int) bool {
+		e := r.q[i]
+		return e.at > at || e.at == at && e.seq >= seq
+	})
+}
+
+func (r *refSched) schedule(t *refTimer, at sim.Time) {
+	if at < r.now {
+		panic("reference: scheduling in the past")
+	}
+	t.at, t.seq, t.pending = at, r.seq, true
+	r.seq++
+	i := r.find(at, t.seq)
+	r.q = append(r.q, nil)
+	copy(r.q[i+1:], r.q[i:])
+	r.q[i] = t
+}
+
+func (r *refSched) unlink(t *refTimer) {
+	i := r.find(t.at, t.seq)
+	r.q = append(r.q[:i], r.q[i+1:]...)
+	t.pending = false
+}
+
+func (r *refSched) Now() sim.Time { return r.now }
+
+func (r *refSched) At(at sim.Time, fn func()) handle {
+	t := &refTimer{fn: fn}
+	r.schedule(t, at)
+	return t
+}
+
+func (r *refSched) After(d sim.Duration, fn func()) handle { return r.At(r.now+d, fn) }
+
+func (r *refSched) Post(at sim.Time, fn func(any), arg any) {
+	r.schedule(&refTimer{fnArg: fn, arg: arg}, at)
+}
+
+func (r *refSched) PostAfter(d sim.Duration, fn func(any), arg any) { r.Post(r.now+d, fn, arg) }
+
+func (r *refSched) NewTimer(fn func()) handle { return &refTimer{fn: fn, persistent: true} }
+
+func (r *refSched) Reset(h handle, at sim.Time) {
+	t := h.(*refTimer)
+	if !t.persistent {
+		panic("reference: Reset on a one-shot timer")
+	}
+	if t.pending {
+		r.unlink(t)
+	}
+	r.schedule(t, at)
+}
+
+func (r *refSched) Cancel(h handle) {
+	if t, _ := h.(*refTimer); t != nil && t.pending {
+		r.unlink(t)
+	}
+}
+
+func (r *refSched) Step() bool {
+	if len(r.q) == 0 {
+		return false
+	}
+	t := r.q[0]
+	r.q = r.q[1:]
+	t.pending = false
+	r.now = t.at
+	r.fired++
+	if t.fnArg != nil {
+		t.fnArg(t.arg)
+	} else {
+		t.fn()
+	}
+	return true
+}
+
+func (r *refSched) RunUntil(limit sim.Time) {
+	for len(r.q) > 0 && r.q[0].at <= limit {
+		r.Step()
+	}
+	if r.now < limit {
+		r.now = limit
+	}
+}
+
+func (r *refSched) Pending() int        { return len(r.q) }
+func (r *refSched) EventsFired() uint64 { return r.fired }
 
 // Op kinds for the recorded scheduler programs. A program is
 // interpreted identically against each backend; all randomness is
@@ -54,19 +206,29 @@ type progResult struct {
 	log     []rec
 	now     sim.Time
 	fired   uint64
+	pending int            // Pending before the final drain
 	handles [nHandles]bool // Pending state at end of program
 	persist [nPersist]bool
 }
 
-// runProgram interprets ops against a fresh scheduler with the given
-// backend and returns everything observable: the full fire log (time,
-// op id), periodic pending-count snapshots, and final handle states.
-func runProgram(b sim.Backend, ops []op) progResult {
-	s := sim.NewSchedulerBackend(1, b)
+// Post ids at or above nestedID were posted from inside a firing
+// event; they never post again, which bounds the nesting.
+const nestedID = 1 << 40
+
+// runProgram interprets ops against s and returns everything
+// observable: the full fire log (time, op id), periodic pending-count
+// snapshots, and final handle states.
+//
+// opPost posts a burst of one to three events at one instant (a
+// same-instant run), and a Post event whose id is 3 mod 7 posts two
+// more events at its own instant from inside its callback — chained
+// onto the run being drained when the latest schedule call was that
+// run's pending tail.
+func runProgram(s scheduler, ops []op) progResult {
 	var (
 		log     []rec
-		handles [nHandles]*sim.Timer
-		persist [nPersist]*sim.Timer
+		handles [nHandles]handle
+		persist [nPersist]handle
 		fires   [nPersist]int
 	)
 	// Overflow-safe absolute target: clamping wrapped sums to now keeps
@@ -80,7 +242,7 @@ func runProgram(b sim.Backend, ops []op) progResult {
 	}
 	for i := range persist {
 		i := i
-		persist[i] = sim.NewTimer(func() {
+		persist[i] = s.NewTimer(func() {
 			log = append(log, rec{s.Now(), -(i + 1)})
 			fires[i]++
 			if fires[i]%3 == 1 {
@@ -91,7 +253,8 @@ func runProgram(b sim.Backend, ops []op) progResult {
 			}
 		})
 	}
-	postFn := func(a any) {
+	var postFn func(any)
+	postFn = func(a any) {
 		id := a.(int)
 		log = append(log, rec{s.Now(), id})
 		if id%5 == 0 {
@@ -99,6 +262,10 @@ func runProgram(b sim.Backend, ops []op) progResult {
 			// on the free list; re-arming a persistent timer for the
 			// same tick must not alias it.
 			s.Reset(persist[id%nPersist], s.Now())
+		}
+		if id%7 == 3 && id < nestedID {
+			s.Post(s.Now(), postFn, id+nestedID)
+			s.Post(s.Now(), postFn, id+2*nestedID)
 		}
 	}
 	for _, o := range ops {
@@ -114,9 +281,12 @@ func runProgram(b sim.Backend, ops []op) progResult {
 				log = append(log, rec{s.Now(), id})
 			})
 		case opPost:
-			s.Post(target(o.delta), postFn, o.id)
+			at := target(o.delta)
+			for k := 0; k <= o.idx%3; k++ {
+				s.Post(at, postFn, 4*o.id+k)
+			}
 		case opPostAfter:
-			s.PostAfter(target(o.delta)-s.Now(), postFn, o.id)
+			s.PostAfter(target(o.delta)-s.Now(), postFn, 4*o.id)
 		case opCancel:
 			s.Cancel(handles[o.idx%nHandles]) // nil-safe
 		case opCancelPersist:
@@ -133,9 +303,10 @@ func runProgram(b sim.Backend, ops []op) progResult {
 			log = append(log, rec{s.Now(), 2_000_000 + s.Pending()})
 		}
 	}
+	res := progResult{pending: s.Pending()}
 	for i := 0; i < 20_000_000 && s.Step(); i++ {
 	}
-	res := progResult{log: log, now: s.Now(), fired: s.EventsFired()}
+	res.log, res.now, res.fired = log, s.Now(), s.EventsFired()
 	for i, h := range handles {
 		res.handles[i] = h != nil && h.Pending()
 	}
@@ -145,35 +316,50 @@ func runProgram(b sim.Backend, ops []op) progResult {
 	return res
 }
 
-func compareResults(t *testing.T, heap, wheel progResult) {
+// compareResults requires got (named gotName) to reproduce want
+// (named wantName) exactly.
+func compareResults(t *testing.T, wantName, gotName string, want, got progResult) {
 	t.Helper()
-	n := len(heap.log)
-	if len(wheel.log) != n {
-		t.Errorf("fire log length: heap %d, wheel %d", n, len(wheel.log))
-		if len(wheel.log) < n {
-			n = len(wheel.log)
+	n := len(want.log)
+	if len(got.log) != n {
+		t.Errorf("fire log length: %s %d, %s %d", wantName, n, gotName, len(got.log))
+		if len(got.log) < n {
+			n = len(got.log)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if heap.log[i] != wheel.log[i] {
-			t.Fatalf("fire log diverges at %d: heap %+v, wheel %+v",
-				i, heap.log[i], wheel.log[i])
+		if want.log[i] != got.log[i] {
+			t.Fatalf("fire log diverges at %d: %s %+v, %s %+v",
+				i, wantName, want.log[i], gotName, got.log[i])
 		}
 	}
-	if heap.now != wheel.now {
-		t.Errorf("final clock: heap %v, wheel %v", heap.now, wheel.now)
+	if want.now != got.now {
+		t.Errorf("final clock: %s %v, %s %v", wantName, want.now, gotName, got.now)
 	}
-	if heap.fired != wheel.fired {
-		t.Errorf("events fired: heap %d, wheel %d", heap.fired, wheel.fired)
+	if want.fired != got.fired {
+		t.Errorf("events fired: %s %d, %s %d", wantName, want.fired, gotName, got.fired)
 	}
-	if heap.handles != wheel.handles {
-		t.Errorf("handle Pending states diverge:\nheap  %v\nwheel %v",
-			heap.handles, wheel.handles)
+	if want.pending != got.pending {
+		t.Errorf("pending at end of program: %s %d, %s %d", wantName, want.pending, gotName, got.pending)
 	}
-	if heap.persist != wheel.persist {
-		t.Errorf("persistent timer states diverge:\nheap  %v\nwheel %v",
-			heap.persist, wheel.persist)
+	if want.handles != got.handles {
+		t.Errorf("handle Pending states diverge:\n%s %v\n%s %v",
+			wantName, want.handles, gotName, got.handles)
 	}
+	if want.persist != got.persist {
+		t.Errorf("persistent timer states diverge:\n%s %v\n%s %v",
+			wantName, want.persist, gotName, got.persist)
+	}
+}
+
+// compareWithReference runs ops on the reference and on both backends
+// and requires each backend to reproduce the reference.
+func compareWithReference(t *testing.T, ops []op) progResult {
+	t.Helper()
+	ref := runProgram(reference(), ops)
+	compareResults(t, "reference", "heap", ref, runProgram(backend(sim.BackendHeap), ops))
+	compareResults(t, "reference", "wheel", ref, runProgram(backend(sim.BackendWheel), ops))
+	return ref
 }
 
 // randDelta draws from a mix spanning every wheel level: same-tick
@@ -211,12 +397,26 @@ func TestDifferentialRandomOps(t *testing.T) {
 	const opsPerRun = 1_000_000
 	for _, seed := range []int64{1, 2, 42} {
 		ops := randOps(seed, opsPerRun)
-		heap := runProgram(sim.BackendHeap, ops)
-		wheel := runProgram(sim.BackendWheel, ops)
+		heap := runProgram(backend(sim.BackendHeap), ops)
+		wheel := runProgram(backend(sim.BackendWheel), ops)
 		if len(heap.log) < opsPerRun/4 {
 			t.Fatalf("seed %d: degenerate program, only %d fires", seed, len(heap.log))
 		}
-		compareResults(t, heap, wheel)
+		compareResults(t, "heap", "wheel", heap, wheel)
+	}
+}
+
+// TestReferenceRandomOps requires both backends to reproduce the
+// reference scheduler on randomized programs. The reference's sorted
+// slice costs O(pending) per insert, so the programs are shorter than
+// TestDifferentialRandomOps's and there are more of them.
+func TestReferenceRandomOps(t *testing.T) {
+	const opsPerRun = 20_000
+	for seed := int64(1); seed <= 12; seed++ {
+		ref := compareWithReference(t, randOps(seed, opsPerRun))
+		if len(ref.log) < opsPerRun/4 {
+			t.Fatalf("seed %d: degenerate program, only %d fires", seed, len(ref.log))
+		}
 	}
 }
 
@@ -296,9 +496,10 @@ func opsFromBytes(data []byte) []op {
 }
 
 // FuzzSchedulerOrder feeds arbitrary op programs — same-tick
-// collisions, zero-delay re-arms, cancel/Reset storms — to both
-// backends and requires identical pop order and handle states. The
-// seed corpus lives in testdata/fuzz/FuzzSchedulerOrder.
+// collisions, same-instant Post runs, zero-delay re-arms, cancel/Reset
+// storms — to the reference and both backends and requires identical
+// pop order, pending counts and handle states. The seed corpus lives
+// in testdata/fuzz/FuzzSchedulerOrder.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 7, 3, 0, 0})             // At(now), then steps
 	f.Add([]byte{2, 0, 0, 0, 2, 5, 0, 0, 7, 0, 0, 0}) // same-tick Posts
@@ -313,7 +514,6 @@ func FuzzSchedulerOrder(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		ops := opsFromBytes(data)
-		compareResults(t, runProgram(sim.BackendHeap, ops), runProgram(sim.BackendWheel, ops))
+		compareWithReference(t, opsFromBytes(data))
 	})
 }

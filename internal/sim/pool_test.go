@@ -187,3 +187,64 @@ func TestStepBudget(t *testing.T) {
 		t.Errorf("steady-state Reset+Cancel+Step: %v allocs/op, want 0", n)
 	}
 }
+
+// TestSameInstantRun pins the chaining layer's bookkeeping: a burst of
+// same-instant Posts occupies one queue entry, Pending still counts
+// every event, Step fires one event per call in post order, a Post
+// from inside a firing run joins that run when its pending tail was the
+// latest schedule call, RunUntil respects a limit before a half-drained
+// run, and a Reset between Posts starts a new run.
+func TestSameInstantRun(t *testing.T) {
+	s := NewScheduler(1)
+	var got []int
+	var rec func(any)
+	rec = func(a any) {
+		got = append(got, a.(int))
+		if a.(int) == 1 {
+			s.Post(s.Now(), rec, 10) // the run's tail (2) is pending
+		}
+	}
+	for i := 0; i < 3; i++ {
+		s.Post(5, rec, i)
+	}
+	if s.q.len() != 1 || s.Pending() != 3 {
+		t.Fatalf("run of 3: %d queued, %d pending; want 1 and 3", s.q.len(), s.Pending())
+	}
+	s.Step()
+	s.Step()
+	if s.q.len() != 0 || s.Pending() != 2 {
+		t.Fatalf("nested Post: %d queued, %d pending; want 0 and 2 (chained onto the run)", s.q.len(), s.Pending())
+	}
+	s.RunUntil(4)
+	if len(got) != 2 || s.Now() != 5 {
+		t.Fatalf("RunUntil before now fired %v (now %v)", got, s.Now())
+	}
+	s.RunUntil(5)
+
+	tm := NewTimer(func() { got = append(got, 100) })
+	s.Post(8, rec, 3)
+	s.Reset(tm, 8)
+	s.Post(8, rec, 4)
+	s.Post(8, rec, 5)
+	if s.q.len() != 3 || s.Pending() != 4 {
+		t.Fatalf("Reset inside a burst: %d queued, %d pending; want 3 and 4", s.q.len(), s.Pending())
+	}
+	s.Run()
+	want := []int{0, 1, 2, 10, 3, 100, 4, 5}
+	if len(got) != len(want) || s.Pending() != 0 || s.EventsFired() != uint64(len(want)) {
+		t.Fatalf("fired %v (pending %d, EventsFired %d), want %v", got, s.Pending(), s.EventsFired(), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			s.PostAfter(1, rec, 7)
+		}
+		s.RunUntil(s.Now() + 1)
+	}); n != 0 {
+		t.Errorf("warm same-instant run: %v allocs/op, want 0", n)
+	}
+}

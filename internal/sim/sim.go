@@ -58,6 +58,22 @@
 // a Reset or Post consumes exactly one sequence number, the same as
 // the At call it replaces.
 //
+// # Same-instant Post runs
+//
+// A burst of Posts for one instant — every MSDU of a received A-MPDU
+// handed to the host stack, say — bypasses the event queue. When a
+// Post lands at the same time as the schedule call just before it, and
+// that call was a Post whose event is still pending, the new timer is
+// chained behind it instead of being pushed. The run's sequence
+// numbers are consecutive, so no other (at, seq) key falls inside it
+// and everything scheduled later sorts after it: once the run's first
+// timer is popped, the rest of the run are exactly the next events in
+// the strict (at, seq) order. Step drains a pending run before it
+// consults the queue and still fires exactly one event per call;
+// Pending counts chained timers, and EventsFired counts every event
+// once, chained or not. Since Post events cannot be cancelled, a run
+// never loses a member.
+//
 // # Determinism contract for observers
 //
 // Observability layers (internal/trace) hook the protocol modules via
@@ -119,7 +135,8 @@ type Timer struct {
 	arg   any
 	// index is the pending marker shared by both queue backends: the
 	// heap stores the timer's heap position, the wheel stores 0 while
-	// linked into a bucket; both store -1 when not pending.
+	// linked into a bucket, and a chained timer stores 0 too; all store
+	// -1 when not pending.
 	index int
 	// Intrusive bucket list links + placement, used only by the wheel
 	// backend. Keeping them on the Timer makes every wheel operation
@@ -135,6 +152,9 @@ type Timer struct {
 	// pooled marks scheduler-owned fire-and-forget timers (Post): no
 	// caller can hold a handle, so they recycle through the free list.
 	pooled bool
+	// chain is the next timer of a same-instant Post run (see the
+	// package documentation); chained timers are never in the queue.
+	chain *Timer
 }
 
 // Cancelled reports whether the timer is not currently pending (never
@@ -183,6 +203,13 @@ type Scheduler struct {
 	timers slab.Allocator[Timer] // where free grows from
 	rng    *rand.Rand
 	fired  uint64 // total events executed, for diagnostics
+	// Same-instant Post runs: last is the timer of the latest schedule
+	// call when that call was a Post (a run's tail), run is the next
+	// chained timer to fire, and chained counts chained timers not yet
+	// fired.
+	last    *Timer
+	run     *Timer
+	chained int
 }
 
 // NewScheduler returns a scheduler whose random stream is seeded with
@@ -224,7 +251,7 @@ func (s *Scheduler) ForkRand() *rand.Rand {
 func (s *Scheduler) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events currently scheduled.
-func (s *Scheduler) Pending() int { return s.q.len() }
+func (s *Scheduler) Pending() int { return s.q.len() + s.chained }
 
 // schedule enqueues t at the absolute time at, assigning the next
 // insertion sequence number (the tie-break for simultaneous events).
@@ -235,6 +262,7 @@ func (s *Scheduler) schedule(t *Timer, at Time) {
 	t.at = at
 	t.seq = s.seq
 	s.seq++
+	s.last = nil
 	s.q.push(t)
 }
 
@@ -256,7 +284,9 @@ func (s *Scheduler) After(d Duration, fn func()) *Timer {
 // at. No handle is returned — the event cannot be cancelled — which
 // lets the scheduler recycle the internal timer through a free list.
 // Keep fn persistent (one func value per call site) and pass the
-// per-event state through arg for a zero-allocation hot path.
+// per-event state through arg for a zero-allocation hot path. A Post
+// at the same time as a directly preceding, still pending Post joins
+// its same-instant run instead of the queue.
 func (s *Scheduler) Post(at Time, fn func(any), arg any) {
 	var t *Timer
 	if n := len(s.free); n > 0 {
@@ -269,7 +299,20 @@ func (s *Scheduler) Post(at Time, fn func(any), arg any) {
 	}
 	t.fnArg = fn
 	t.arg = arg
-	s.schedule(t, at)
+	// A fired tail may be the very timer just taken from the free
+	// list; its index is -1 then, so it never chains to itself. A
+	// pending tail is never in the past, so neither is at.
+	if tail := s.last; tail != nil && tail.index >= 0 && tail.at == at {
+		t.at = at
+		t.seq = s.seq
+		s.seq++
+		t.index = 0
+		tail.chain = t
+		s.chained++
+	} else {
+		s.schedule(t, at)
+	}
+	s.last = t
 }
 
 // PostAfter is Post at d from now.
@@ -315,13 +358,6 @@ func (s *Scheduler) Cancel(t *Timer) {
 	s.release(t)
 }
 
-// Reschedule cancels t (if pending) and schedules fn at the new time,
-// returning the replacement timer.
-func (s *Scheduler) Reschedule(t *Timer, d Duration, fn func()) *Timer {
-	s.Cancel(t)
-	return s.After(d, fn)
-}
-
 // release drops a finished timer's callback references (so the
 // scheduler does not retain dead packets) and returns pooled timers to
 // the free list. Persistent timers keep their callback for the next
@@ -338,13 +374,21 @@ func (s *Scheduler) release(t *Timer) {
 	}
 }
 
-// Step executes the single earliest pending event. It reports false if
-// no events remain.
+// Step executes the single earliest pending event: the next timer of
+// a same-instant Post run if one is being drained, else the queue's
+// minimum. It reports false if no events remain.
 func (s *Scheduler) Step() bool {
-	if s.q.len() == 0 {
-		return false
+	t := s.run
+	if t != nil {
+		t.index = -1
+		s.chained--
+	} else {
+		if s.q.len() == 0 {
+			return false
+		}
+		t = s.q.popMin()
 	}
-	t := s.q.popMin()
+	s.run, t.chain = t.chain, nil
 	s.now = t.at
 	s.fired++
 	if t.fnArg != nil {
@@ -363,7 +407,14 @@ func (s *Scheduler) Step() bool {
 // is later than limit. The clock is left at the time of the last
 // executed event, or advanced to limit if limit is reached.
 func (s *Scheduler) RunUntil(limit Time) {
-	for s.q.len() > 0 && s.q.min() <= limit {
+	for {
+		if t := s.run; t != nil {
+			if t.at > limit {
+				break
+			}
+		} else if s.q.len() == 0 || s.q.min() > limit {
+			break
+		}
 		s.Step()
 	}
 	if s.now < limit {
