@@ -1,13 +1,13 @@
-// Differential scheduler harness: the binary heap (the engine's
-// original backend), the timing wheel and an independent reference —
-// a slice kept sorted by (at, seq), with no queue structure and no
-// same-instant chaining — are driven from one recorded workload:
-// randomized arm/cancel/Reset/Post programs, including bursts of
-// same-instant Posts, and event traces captured from real ht150
-// networks. All must produce identical fire order, pending counts,
-// handle states and clocks. Heap vs wheel catches a queue ordering
-// bug; either backend vs the reference also catches a bug in the
-// chaining layer above both backends.
+// Differential scheduler harness. Randomized arm/cancel/Reset/Post
+// programs, including bursts of same-instant Posts, drive three
+// schedulers: the binary heap (the engine's original backend), the
+// timing wheel, and an independent reference — a slice kept sorted by
+// (at, seq), with no queue structure and no same-instant chaining. All
+// three must produce identical fire order, pending counts, handle
+// states and clocks: heap vs wheel catches a queue ordering bug, and
+// either backend vs the reference also catches a bug in the chaining
+// layer above both backends. Event traces captured from real ht150
+// networks are replayed through heap and wheel.
 package sim_test
 
 import (
